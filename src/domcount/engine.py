@@ -10,31 +10,35 @@ gather/reduce/scatter operations on the whole state vector at once.
 
 Evaluation modes:
 
-* ``poly``: dense coefficient vectors per state (full domination polynomial);
+* ``poly``: coefficient vectors per state (full domination polynomial);
 * ``count``: value at z=1 only (total number of dominating sets);
 * ``minplus``: lowest attainable degree per state (domination number);
 * ``mincount``: lowest degree and the number of sets attaining it.
 
-Exact runs use int64 when every intermediate provably fits and arbitrary
-precision Python integers (object dtype) otherwise; mod-p runs always fit
-int64.  The torus is handled by the cylinder kernel plus an outer loop over
-start signatures, summing diagonal entries.
+The poly step is one grouped gather per column with the occupied move read
+one degree shifted, over the live degrees only.  Its values are int64
+lanes: one unreduced lane while every count provably fits, otherwise one
+lane per residue modulus -- the ``--mod`` prime, or for exact results
+primes below 2^59 recombined by the Chinese remainder theorem.  Count mode
+switches to Python integers past 62 cells.  The torus is handled by the
+cylinder kernel plus an outer loop over start signatures, summing diagonal
+entries.
 """
 
 from __future__ import annotations
 
-import json
-import struct
+import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
+from .checkpoints import write_row_checkpoint
 from .errors import GuardExceeded
-from .rings import EXACT, Polynomial, Ring, crt_reconstruct, select_moduli
+from .rings import (EXACT, Polynomial, Ring, covering_primes, crt_reconstruct,
+                    lane_sum, lane_values, select_moduli)
 from .signatures import (
     MAX_WIDTH,
     Signature,
@@ -54,6 +58,9 @@ FAMILIES = ("grid", "cylinder", "torus", "king")
 # total over all states, so 62 cells is the limit there.
 _POLY_INT64_CELLS = 66
 _COUNT_INT64_CELLS = 62
+
+_LANE_PRIME_BITS = 59      # exact-run residue primes lie below 2^59
+_GATHER_BYTES = 256 << 10  # gather chunk size of the poly step
 
 _INF = 1 << 62  # min-plus sentinel; survives adding one per placed vertex
 
@@ -205,6 +212,35 @@ def _compiled_tables(kernel: str, m: int) -> tuple[_ColumnTable, ...]:
     return tuple(tables)
 
 
+@dataclass(frozen=True)
+class _PolyPlan:
+    """Both moves of one column as one gather grouped by destination.  Poly
+    state arrays end in an all-zero row, which has a group of its own and
+    is what a destination no move reaches gathers."""
+
+    src: np.ndarray     # source row per gathered row
+    plain: np.ndarray   # 1 for the unoccupied move, 0 for the occupied one
+    starts: np.ndarray  # first gathered row per destination, then the total
+    fan_in: int         # most gathered rows of any one destination
+
+
+@lru_cache(maxsize=64)
+def _poly_plans(kernel: str, m: int) -> tuple[_PolyPlan, ...]:
+    plans = []
+    for t in _compiled_tables(kernel, m):
+        dst = np.concatenate([t.plain_dst, t.occ_dst])
+        missing = np.setdiff1d(np.arange(len(t.dst_dom) + 1), dst)
+        dst = np.concatenate([dst, missing])
+        src = np.concatenate([t.plain_src, np.arange(len(t.src_dom)),
+                              np.full(len(missing), len(t.src_dom))])
+        plain = (np.arange(len(src)) < len(t.plain_src)).astype(np.int64)
+        order = np.argsort(dst, kind="stable")
+        starts = np.searchsorted(dst[order], np.arange(len(t.dst_dom) + 2))
+        plans.append(_PolyPlan(src[order], plain[order], starts,
+                               int(np.diff(starts).max())))
+    return tuple(plans)
+
+
 def _domain_bound(kernel: str, m: int) -> int:
     # kinked mid-row domains never exceed three times the full-row count
     if kernel == "king":
@@ -231,29 +267,42 @@ def _grouped(dst: np.ndarray):
     return order, sdst[starts], starts
 
 
-def _step_poly(V: np.ndarray, t: _ColumnTable, modulus: Optional[int]) -> np.ndarray:
-    out = np.zeros((len(t.dst_dom), V.shape[1]), dtype=V.dtype)
-    if len(t.plain_src):
-        order, udst, starts = _grouped(t.plain_dst)
-        sums = np.add.reduceat(V[t.plain_src[order]], starts, axis=0)
-        out[udst] += sums
-    order, udst, starts = _grouped(t.occ_dst)
-    sums = np.add.reduceat(V[order], starts, axis=0)
-    out[udst, 1:] += sums[:, :-1]
-    if modulus is not None:
-        out %= modulus
+def _step_poly(V: np.ndarray, plan: _PolyPlan,
+               moduli: Optional[np.ndarray]) -> np.ndarray:
+    """One column on (lanes, states + 1, 1 + live degrees); one more out.
+
+    Column 0 is zero, so the window starting at a row is the row shifted
+    one degree up (the occupied move) and the window one element later the
+    row itself (the unoccupied move), ending in the next row's zero.
+    """
+    lanes, rows, width = V.shape
+    groups = len(plan.starts) - 1
+    out = np.empty((lanes, groups, width + 1), dtype=np.int64)
+    out[:, :, 0] = 0
+    idx = plan.src * width + plan.plain
+    chunk = max(1, _GATHER_BYTES // (8 * width))
+    cuts = np.searchsorted(plan.starts, range(chunk, len(idx), chunk)).tolist()
+    bounds = [0, *cuts, groups]
+    for lane in range(lanes):
+        windows = np.ndarray((rows * width - width + 1, width), np.int64,
+                             buffer=V[lane], strides=(8, 8))
+        for g0, g1 in zip(bounds[:-1], bounds[1:]):
+            if g0 < g1:
+                r0, r1 = plan.starts[g0], plan.starts[g1]
+                np.add.reduceat(windows[idx[r0:r1]], plan.starts[g0:g1] - r0,
+                                axis=0, out=out[lane, g0:g1, 1:])
+    if moduli is not None:
+        out %= moduli[:, None, None]
     return out
 
 
-def _step_count(V: np.ndarray, t: _ColumnTable, modulus: Optional[int]) -> np.ndarray:
+def _step_count(V: np.ndarray, t: _ColumnTable) -> np.ndarray:
     out = np.zeros(len(t.dst_dom), dtype=V.dtype)
     if len(t.plain_src):
         order, udst, starts = _grouped(t.plain_dst)
         out[udst] += np.add.reduceat(V[t.plain_src[order]], starts)
     order, udst, starts = _grouped(t.occ_dst)
     out[udst] += np.add.reduceat(V[order], starts)
-    if modulus is not None:
-        out %= modulus
     return out
 
 
@@ -301,50 +350,31 @@ def _step_mincount(V, C, t: _ColumnTable):
 
 # ------------------------------------------------------------ sweep driver
 
-def _exact_dtype(mode: str, cells: int):
-    limit = _POLY_INT64_CELLS if mode == "poly" else _COUNT_INT64_CELLS
-    return np.int64 if cells <= limit else object
-
-
-def _check_guards(kernel: str, m: int, cap: int, mode: str, dtype,
-                  guards: Guards) -> None:
+def _check_guards(kernel: str, m: int, values: int, guards: Guards) -> None:
+    """`values` is the number of int64 values each state carries."""
     bound = _domain_bound(kernel, m)
     if bound > guards.max_states:
         raise GuardExceeded(
             f"state bound {bound} for width {m} exceeds max_states="
             f"{guards.max_states}")
-    per_value = 8 if dtype is np.int64 else 40
-    lanes = cap if mode == "poly" else (2 if mode == "mincount" else 1)
-    estimate = 2 * bound * lanes * per_value
+    estimate = 2 * bound * values * 8
     if estimate > guards.max_memory_bytes:
         raise GuardExceeded(
             f"estimated working memory {estimate} bytes exceeds "
             f"max_memory_bytes={guards.max_memory_bytes}")
 
 
-def _sweep(kernel: str, m: int, n: int, mode: str, start_index: int,
-           modulus: Optional[int], guards: Guards,
-           progress: Optional[Callable[[int, int], None]] = None,
-           cap: Optional[int] = None) -> Iterator[tuple]:
-    """Run n rows from an indicator at one full-row state.
-
-    Yields (row, value arrays on the full-row domain) after each completed
-    row.  ``cap`` is the polynomial degree capacity (defaults to m*n+1).
-    """
-    if mode == "poly" and cap is None:
-        cap = m * n + 1
-    if modulus is not None:
-        dtype = np.int64
-    else:
-        dtype = _exact_dtype(mode, m * n) if mode in ("poly", "count") else np.int64
-    _check_guards(kernel, m, cap or 1, mode, dtype, guards)
+def _sweep(kernel: str, m: int, n: Optional[int], mode: str, start_index: int,
+           guards: Guards) -> Iterator[tuple]:
+    """Run n rows (unbounded for None) of a one-value semiring from an
+    indicator at one full-row state, yielding (row, value arrays on the
+    full-row domain) per row."""
+    _check_guards(kernel, m, 2 if mode == "mincount" else 1, guards)
     tables = _compiled_tables(kernel, m)
     size = len(tables[0].src_dom)
-    if mode == "poly":
-        V = np.zeros((size, cap), dtype=dtype)
-        V[start_index, 0] = 1
-    elif mode == "count":
-        V = np.zeros(size, dtype=dtype)
+    if mode == "count":
+        exact_int64 = n is not None and m * n <= _COUNT_INT64_CELLS
+        V = np.zeros(size, dtype=np.int64 if exact_int64 else object)
         V[start_index] = 1
     elif mode == "minplus":
         V = np.full(size, _INF, dtype=np.int64)
@@ -356,19 +386,59 @@ def _sweep(kernel: str, m: int, n: int, mode: str, start_index: int,
         C[start_index] = 1
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    for r in range(1, n + 1):
+    for r in itertools.count(1) if n is None else range(1, n + 1):
         for t in tables:
-            if mode == "poly":
-                V = _step_poly(V, t, modulus)
-            elif mode == "count":
-                V = _step_count(V, t, modulus)
+            if mode == "count":
+                V = _step_count(V, t)
             elif mode == "minplus":
                 V = _step_minplus(V, t)
             else:
                 V, C = _step_mincount(V, C, t)
+        yield (r, V) if mode != "mincount" else (r, (V, C))
+
+
+# ------------------------------------------------------------- poly lanes
+
+def _poly_lanes(kernel: str, m: int, cells: int, modulus: Optional[int],
+                guards: Guards) -> Optional[np.ndarray]:
+    """One residue modulus per lane, or None for one unreduced lane.
+
+    Exact runs past _POLY_INT64_CELLS carry primes with a product above
+    2^(cells+1).  A step adds up to fan-in residues and a readout block at
+    least two, so a modulus P is admissible while max(fan-in, 2)*(P-1) < 2^63.
+    """
+    primes = ((modulus,) if modulus is not None else
+              covering_primes(cells + 1, _LANE_PRIME_BITS)
+              if cells > _POLY_INT64_CELLS else ())
+    _check_guards(kernel, m, max(len(primes), 1) * (cells + 2), guards)
+    if not primes:
+        return None
+    fan_in = max(2, *(plan.fan_in for plan in _poly_plans(kernel, m)))
+    limit = (2**63 - 1) // fan_in + 1
+    if max(primes) > limit:
+        raise ValueError(
+            f"modulus {max(primes)} is too large: a {kernel} sweep of width "
+            f"{m} adds up to {fan_in} residues, so moduli up to {limit} are "
+            f"admissible")
+    return np.array(primes, dtype=np.int64)
+
+
+def _poly_rows(kernel: str, m: int, n: int, start_index: int,
+               moduli: Optional[np.ndarray],
+               progress: Optional[Callable[[int, int], None]] = None,
+               ) -> Iterator[tuple[int, np.ndarray]]:
+    """Run n poly rows from an indicator at one full-row state, yielding
+    (row, int64 view shaped (lanes, full-row states, m*row + 1))."""
+    size = len(_compiled_tables(kernel, m)[0].src_dom)
+    V = np.zeros((1 if moduli is None else len(moduli), size + 1, 2),
+                 dtype=np.int64)
+    V[:, start_index, 1] = 1
+    for r in range(1, n + 1):
+        for plan in _poly_plans(kernel, m):
+            V = _step_poly(V, plan, moduli)
         if progress is not None:
             progress(r, n)
-        yield (r, V) if mode != "mincount" else (r, (V, C))
+        yield r, V[:, :-1, 1:]
 
 
 def _start_index(kernel: str, m: int, code: int) -> int:
@@ -378,22 +448,6 @@ def _start_index(kernel: str, m: int, code: int) -> int:
     if i == len(dom) or dom[i] != full:
         raise ValueError(f"code {code} is not a valid start state")
     return i
-
-
-def _infinite_rows(kernel: str, m: int, start_index: int,
-                   guards: Guards) -> Iterator[tuple]:
-    """Count-mode _sweep unbounded in n (exact object arithmetic)."""
-    _check_guards(kernel, m, 1, "count", object, guards)
-    tables = _compiled_tables(kernel, m)
-    size = len(tables[0].src_dom)
-    V = np.zeros(size, dtype=object)
-    V[start_index] = 1
-    r = 0
-    while True:
-        for t in tables:
-            V = _step_count(V, t, None)
-        r += 1
-        yield r, V
 
 
 # ------------------------------------------------------------- public API
@@ -422,22 +476,21 @@ def run_sweep(spec: GraphSpec, start_signature: Signature,
                          f"{'cyclic-' if cyclic else ''}valid")
     kernel = _kernel_for(spec.family)
     idx = _start_index(kernel, spec.m, start_signature.code)
-    cap = spec.m * rows + 1
-    final = None
-    for r, V in _sweep(kernel, spec.m, rows, "poly", idx, ring.modulus,
-                       guards, cap=cap):
-        final = V
-        if checkpoint_dir is not None:
-            _write_checkpoint(checkpoint_dir, spec, r, ring, kernel, V)
+    moduli = _poly_lanes(kernel, spec.m, spec.m * rows, ring.modulus, guards)
     dom = _compiled_tables(kernel, spec.m)[0].src_dom
+    for r, V in _poly_rows(kernel, spec.m, rows, idx, moduli):
+        if checkpoint_dir is not None or r == rows:
+            flat = lane_values(V.reshape(len(V), -1), moduli)
+            k = V.shape[2]
+            states = [flat[i:i + k] for i in range(0, len(flat), k)]
+        if checkpoint_dir is not None:
+            write_row_checkpoint(checkpoint_dir, spec, r, ring, dom, states,
+                                 spec.m * rows + 1)
     result: dict[int, Polynomial] = {}
-    for i, code in enumerate(dom):
-        coeffs = final[i]
-        if not coeffs.any():
-            continue
-        sig_code = int(code) // 3 if kernel == "king" else int(code)
-        result[sig_code] = Polynomial.from_coefficients(
-            [int(c) for c in coeffs], ring).trimmed()
+    for code, coeffs in zip(dom, states):
+        if any(coeffs):
+            sig_code = int(code) // 3 if kernel == "king" else int(code)
+            result[sig_code] = Polynomial.from_coefficients(coeffs, ring).trimmed()
     return result
 
 
@@ -451,14 +504,11 @@ def polynomial_series(family: str, m: int, n_max: int, ring: Ring = EXACT,
     kernel = _kernel_for(family)
     idx = _start_index(kernel, m, all_covered(m).code)
     mask = _no_uncovered_mask(kernel, m)
+    moduli = _poly_lanes(kernel, m, m * n_max, ring.modulus, guards)
     out = []
-    for r, V in _sweep(kernel, m, n_max, "poly", idx, ring.modulus, guards,
-                       progress=progress):
-        coeffs = V[mask].sum(axis=0)
-        if ring.modulus is not None:
-            coeffs = coeffs % ring.modulus
-        out.append(Polynomial.from_coefficients(
-            [int(c) for c in coeffs[: m * r + 1]], ring).trimmed())
+    for _, V in _poly_rows(kernel, m, n_max, idx, moduli, progress):
+        coeffs = lane_values(lane_sum(V[:, mask], moduli), moduli)
+        out.append(Polynomial.from_coefficients(coeffs, ring).trimmed())
     return out
 
 
@@ -505,7 +555,7 @@ def count_series(family: str, m: int, n_max: int,
     idx = _start_index(kernel, m, all_covered(m).code)
     mask = _no_uncovered_mask(kernel, m)
     return [int(V[mask].sum())
-            for _, V in _sweep(kernel, m, n_max, "count", idx, None, guards)]
+            for _, V in _sweep(kernel, m, n_max, "count", idx, guards)]
 
 
 def iter_counts(family: str, m: int,
@@ -516,7 +566,7 @@ def iter_counts(family: str, m: int,
     kernel = _kernel_for(family)
     idx = _start_index(kernel, m, all_covered(m).code)
     mask = _no_uncovered_mask(kernel, m)
-    for _, V in _infinite_rows(kernel, m, idx, guards):
+    for _, V in _sweep(kernel, m, None, "count", idx, guards):
         yield int(V[mask].sum())
 
 
@@ -532,7 +582,7 @@ def gamma_series(family: str, m: int, n_max: int,
     idx = _start_index(kernel, m, all_covered(m).code)
     mask = _no_uncovered_mask(kernel, m)
     return [int(V[mask].min())
-            for _, V in _sweep(kernel, m, n_max, "minplus", idx, None, guards)]
+            for _, V in _sweep(kernel, m, n_max, "minplus", idx, guards)]
 
 
 def mincount_series(family: str, m: int, n_max: int,
@@ -549,7 +599,7 @@ def mincount_series(family: str, m: int, n_max: int,
     idx = _start_index(kernel, m, all_covered(m).code)
     mask = _no_uncovered_mask(kernel, m)
     out = []
-    for _, (V, C) in _sweep(kernel, m, n_max, "mincount", idx, None, guards):
+    for _, (V, C) in _sweep(kernel, m, n_max, "mincount", idx, guards):
         vm = V[mask]
         g = int(vm.min())
         out.append((g, int(C[mask][vm == g].sum())))
@@ -564,17 +614,18 @@ def count_dominating(spec: GraphSpec, guards: Guards = DEFAULT_GUARDS) -> int:
 
 # ------------------------------------------------------------------ torus
 
-def _torus_series(m: int, n_max: int, mode: str, modulus: Optional[int],
+def _torus_series(m: int, n_max: int, mode: str, moduli: Optional[np.ndarray],
                   guards: Guards, workers: int,
                   orbit_grouping: bool) -> list[dict[int, object]]:
     """Per-start diagonal readouts for every n = 1..n_max.
 
-    Returns, for each n, a map {start code: aggregate}.  The aggregate is a
-    coefficient array (poly), an int (count), a min degree (minplus), or a
-    (min, count) pair (mincount), already multiplied by the orbit size when
-    grouping is on.  Rotating or reflecting a start signature permutes rows
-    and columns of the transfer operator identically, so diagonal entries
-    are constant on orbits and one representative per orbit suffices.
+    Returns, for each n, a map {start code: aggregate}.  The aggregate is an
+    int (count), a min degree (minplus), or a (min, count) pair (mincount),
+    already multiplied by the orbit size when grouping is on; for poly it is
+    the diagonal's lanes once per orbit member, (lanes, orbit size, degrees).
+    Rotating or reflecting a start signature permutes rows and columns of
+    the transfer operator identically, so diagonal entries are constant on
+    orbits and one representative per orbit suffices.
     """
     if orbit_grouping:
         starts = dihedral_orbits(m)
@@ -582,7 +633,7 @@ def _torus_series(m: int, n_max: int, mode: str, modulus: Optional[int],
         starts = [(int(c), 1) for c in signature_codes(m, cyclic=True)]
     if workers > 1 and len(starts) > 1:
         chunks = [starts[i::workers] for i in range(workers)]
-        args = [(m, n_max, mode, modulus, chunk,
+        args = [(m, n_max, mode, moduli, chunk,
                  guards.max_states, guards.max_memory_bytes)
                 for chunk in chunks if chunk]
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -592,21 +643,18 @@ def _torus_series(m: int, n_max: int, mode: str, modulus: Optional[int],
             for r in range(n_max):
                 rows[r].update(partial[r])
         return [dict(sorted(row.items())) for row in rows]
-    rows = [dict() for _ in range(n_max)]
-    for code, weight in starts:
-        for r, agg in _torus_single(m, n_max, mode, modulus, code, weight, guards):
-            rows[r - 1][code] = agg
-    return rows
+    return _torus_chunk_worker((m, n_max, mode, moduli, starts,
+                                guards.max_states, guards.max_memory_bytes))
 
 
-def _torus_single(m, n_max, mode, modulus, code, weight, guards):
+def _torus_single(m, n_max, mode, moduli, code, weight, guards):
     idx = _start_index("cylinder", m, code)
-    for r, val in _sweep("cylinder", m, n_max, mode, idx, modulus, guards,
-                         cap=(m * n_max + 1 if mode == "poly" else None)):
-        if mode == "poly":
-            vec = val[idx]
-            yield r, vec * weight if weight != 1 else vec.copy()
-        elif mode == "count":
+    if mode == "poly":
+        for r, V in _poly_rows("cylinder", m, n_max, idx, moduli):
+            yield r, np.repeat(V[:, idx:idx + 1], weight, axis=1)
+        return
+    for r, val in _sweep("cylinder", m, n_max, mode, idx, guards):
+        if mode == "count":
             yield r, int(val[idx]) * weight
         elif mode == "minplus":
             yield r, int(val[idx])
@@ -616,11 +664,11 @@ def _torus_single(m, n_max, mode, modulus, code, weight, guards):
 
 
 def _torus_chunk_worker(args):
-    m, n_max, mode, modulus, chunk, max_states, max_memory = args
+    m, n_max, mode, moduli, chunk, max_states, max_memory = args
     guards = Guards(max_states, max_memory)
     rows: list[dict[int, object]] = [dict() for _ in range(n_max)]
     for code, weight in chunk:
-        for r, agg in _torus_single(m, n_max, mode, modulus, code, weight,
+        for r, agg in _torus_single(m, n_max, mode, moduli, code, weight,
                                     guards):
             rows[r - 1][code] = agg
     return rows
@@ -630,17 +678,14 @@ def torus_polynomial_series(m: int, n_max: int, ring: Ring = EXACT,
                             guards: Guards = DEFAULT_GUARDS, workers: int = 1,
                             orbit_grouping: bool = True) -> list[Polynomial]:
     """Torus domination polynomials for every n = 1..n_max."""
-    rows = _torus_series(m, n_max, "poly", ring.modulus, guards, workers,
+    moduli = _poly_lanes("cylinder", m, m * n_max, ring.modulus, guards)
+    rows = _torus_series(m, n_max, "poly", moduli, guards, workers,
                          orbit_grouping)
     out = []
-    for r, row in enumerate(rows, start=1):
-        acc = np.zeros(m * n_max + 1, dtype=object)
-        for _, vec in row.items():
-            acc = acc + vec
-        coeffs = [int(c) for c in acc[: m * r + 1]]
-        if ring.modulus is not None:
-            coeffs = [c % ring.modulus for c in coeffs]
-        out.append(Polynomial.from_coefficients(coeffs, ring).trimmed())
+    for row in rows:
+        acc = lane_sum(np.concatenate(list(row.values()), axis=1), moduli)
+        out.append(Polynomial.from_coefficients(
+            lane_values(acc, moduli), ring).trimmed())
     return out
 
 
@@ -687,52 +732,3 @@ def crt_domination_polynomial(spec: GraphSpec, b: int = 16, workers: int = 1,
         vec = list(coeffs) + [0] * (cap - len(coeffs))
         residues.append((p, vec))
     return crt_reconstruct(residues).trimmed(), moduli
-
-
-# -------------------------------------------------------------- checkpoints
-
-CHECKPOINT_VERSION = 1
-
-
-def save_checkpoint(path, header: dict, items: Sequence[tuple[int, Sequence[int]]]) -> None:
-    """Write a configuration snapshot: JSON header line, then one
-    length-prefixed (code, coefficient vector) record per state."""
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        for code, coeffs in items:
-            fh.write(struct.pack("<qI", code, len(coeffs)))
-            for c in coeffs:
-                blob = int(c).to_bytes((int(c).bit_length() + 7) // 8 or 1, "little")
-                fh.write(struct.pack("<I", len(blob)))
-                fh.write(blob)
-
-
-def load_checkpoint(path):
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
-        items = []
-        while True:
-            head = fh.read(12)
-            if not head:
-                break
-            code, k = struct.unpack("<qI", head)
-            coeffs = []
-            for _ in range(k):
-                (blob_len,) = struct.unpack("<I", fh.read(4))
-                coeffs.append(int.from_bytes(fh.read(blob_len), "little"))
-            items.append((code, tuple(coeffs)))
-    return header, items
-
-
-def _write_checkpoint(directory, spec: GraphSpec, row: int, ring: Ring,
-                      kernel: str, V: np.ndarray) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    dom = _compiled_tables(kernel, spec.m)[0].src_dom
-    items = []
-    for i, code in enumerate(dom):
-        if V[i].any():
-            items.append((int(code), [int(c) for c in V[i]]))
-    header = {"version": CHECKPOINT_VERSION, "family": spec.family,
-              "m": spec.m, "n": spec.n, "row": row, "ring": str(ring)}
-    save_checkpoint(directory / f"row_{row:04d}.chk", header, items)

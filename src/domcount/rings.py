@@ -4,14 +4,16 @@ Two rings are supported: exact arbitrary-precision integers and residues
 modulo a fixed prime.  The sweep never multiplies two general polynomials;
 everything reduces to coefficient shifts and adds, so that is all this module
 offers, plus the multi-modular machinery (prime selection below a bit width,
-Chinese-Remainder reconstruction) for recombining mod-p runs into exact
-results.
+Chinese-Remainder reconstruction, overflow-safe sums of int64 residue
+lanes) for recombining mod-p runs into exact results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional, Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -182,6 +184,11 @@ def select_moduli(bit_bound: int, b: int = 16) -> ModulusSet:
     """
     if not 8 <= b <= 31:
         raise ValueError(f"bit width b must be in 8..31, got {b}")
+    return ModulusSet(covering_primes(bit_bound, b), b, bit_bound)
+
+
+def covering_primes(bit_bound: int, b: int) -> tuple[int, ...]:
+    """The search behind :func:`select_moduli`, for any width b below 64."""
     if bit_bound < 1:
         raise ValueError("bit bound must be positive")
     target = 1 << bit_bound
@@ -196,7 +203,7 @@ def select_moduli(bit_bound: int, b: int = 16) -> ModulusSet:
     if product < target:
         raise ValueError(
             f"primes below 2^{b} cannot reach a product of 2^{bit_bound}")
-    return ModulusSet(tuple(primes), b, bit_bound)
+    return tuple(primes)
 
 
 def crt_reconstruct(residue_vectors: Sequence[tuple[int, Sequence[int]]]) -> Polynomial:
@@ -227,6 +234,33 @@ def crt_reconstruct(residue_vectors: Sequence[tuple[int, Sequence[int]]]) -> Pol
             combined[i] += t * modulus
         modulus *= p
     return Polynomial(EXACT, tuple(combined))
+
+
+def lane_sum(lanes: np.ndarray, moduli: Optional[np.ndarray]) -> np.ndarray:
+    """Sum int64 lanes shaped (lanes, rows, k) over rows.
+
+    With moduli (one per lane, each at most 2^62) the residues are
+    reduced after every block of rows small enough that its sum stays below
+    2^63; without, the lane holds exact values whose sums fit.
+    """
+    if moduli is None:
+        return lanes.sum(axis=1)
+    block = (2**63 - 1) // (int(moduli.max()) - 1)
+    while lanes.shape[1] > 1:
+        k = min(block, lanes.shape[1])
+        lanes = np.pad(lanes, ((0, 0), (0, -lanes.shape[1] % k), (0, 0)))
+        lanes = lanes.reshape(len(lanes), -1, k, lanes.shape[2]).sum(axis=2)
+        lanes %= moduli[:, None, None]
+    return lanes.sum(axis=1)
+
+
+def lane_values(lanes: np.ndarray, moduli: Optional[np.ndarray]) -> list[int]:
+    """Python ints from int64 lanes shaped (lanes, k): one lane's values as
+    they are, several prime lanes recombined by :func:`crt_reconstruct`."""
+    if moduli is None or len(moduli) == 1:
+        return lanes[0].tolist()
+    return list(crt_reconstruct([(int(p), lane.tolist())
+                                 for p, lane in zip(moduli, lanes)]).coefficients)
 
 
 def residues_of(poly: Polynomial, primes: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:

@@ -226,3 +226,12 @@ def test_output_is_deterministic(capsys):
     _, first, _ = run(argv, capsys)
     _, second, _ = run(argv, capsys)
     assert first == second
+
+
+@pytest.mark.parametrize("modulus", [2305843009213693951, 2**70])
+def test_poly_rejects_moduli_past_the_admissible_range(modulus, capsys):
+    code, out, err = run(["poly", "--family", "grid", "-m", "7", "-n", "10",
+                          "--mod", str(modulus)], capsys)
+    assert code == 4
+    assert out == ""
+    assert "admissible" in err

@@ -13,17 +13,17 @@ from domcount.engine import (
     domination_polynomial,
     gamma_series,
     iter_counts,
-    load_checkpoint,
     mincount_series,
     polynomial_series,
     run_sweep,
-    save_checkpoint,
     torus_polynomial,
     torus_polynomial_series,
 )
+from domcount.checkpoints import load_checkpoint, save_checkpoint
 from domcount.errors import GuardExceeded
 from domcount.oracle import brute_force_polynomial
-from domcount.rings import EXACT, Polynomial, Ring, eval_at_one, poly_add
+from domcount.rings import (EXACT, Polynomial, Ring, eval_at_one, poly_add,
+                            select_moduli)
 from domcount.signatures import Signature, all_covered
 from domcount.transfer import build_transfer_matrix
 
@@ -252,6 +252,63 @@ def test_checkpoint_files_round_trip_big_coefficients(tmp_path):
     got_header, got_items = load_checkpoint(path)
     assert got_header == header
     assert got_items == items
+
+
+@pytest.fixture(scope="module")
+def grid_9x9():
+    return domination_polynomial(GraphSpec("grid", 9, 9))
+
+
+def test_residue_lanes_give_exact_coefficients_past_int64(grid_9x9, grid_totals):
+    # 81 cells: two prime lanes recombined by CRT
+    assert max(grid_9x9.coefficients) >= 1 << 63
+    assert eval_at_one(grid_9x9) == grid_totals[9]
+
+
+@pytest.mark.parametrize("spec", [GraphSpec("cylinder", 8, 9),
+                                  GraphSpec("torus", 6, 12)])
+def test_residue_lanes_match_independent_per_prime_sweeps(spec):
+    crt, moduli = crt_domination_polynomial(spec)
+    assert len(moduli.primes) > 2
+    assert domination_polynomial(spec) == crt
+
+
+def test_large_modulus_readout_does_not_overflow(grid_9x9):
+    p = 144115188075855859  # the largest prime below 2^57
+    got = domination_polynomial(GraphSpec("grid", 9, 9), ring=Ring(p))
+    assert got.coefficients == tuple(c % p for c in grid_9x9.coefficients)
+
+
+@pytest.mark.parametrize("family, limit", [("grid", (2**63 - 1) // 5 + 1),
+                                           ("king", (2**63 - 1) // 14 + 1),
+                                           ("torus", (2**63 - 1) // 9 + 1)])
+def test_moduli_past_the_fan_in_bound_are_rejected(family, limit):
+    spec = GraphSpec(family, 5, 5)
+    exact = domination_polynomial(spec)
+    assert domination_polynomial(spec, ring=Ring(limit)).coefficients == \
+        tuple(c % limit for c in exact.coefficients)
+    for modulus in (limit + 1, 2**70):
+        with pytest.raises(ValueError, match="admissible"):
+            domination_polynomial(spec, ring=Ring(modulus))
+
+
+def test_run_sweep_past_66_cells_keeps_exact_states(tmp_path):
+    spec = GraphSpec("grid", 3, 23)
+    exact = run_sweep(spec, all_covered(3), checkpoint_dir=tmp_path)
+    # independent 16-bit sweeps agree with every state modulo each prime
+    for p in select_moduli(spec.cells + 1, 16).primes:
+        reduced = {code: Polynomial.from_coefficients(poly.coefficients,
+                                                      Ring(p)).trimmed()
+                   for code, poly in exact.items()}
+        assert run_sweep(spec, all_covered(3), ring=Ring(p)) == \
+            {code: poly for code, poly in reduced.items() if not poly.is_zero()}
+    header, items = load_checkpoint(tmp_path / "row_0023.chk")
+    assert header == {"version": 1, "family": "grid", "m": 3, "n": 23,
+                      "row": 23, "ring": "exact"}
+    assert {code: Polynomial.from_coefficients(c).trimmed()
+            for code, c in items} == exact
+    _, first = load_checkpoint(tmp_path / "row_0001.chk")
+    assert first and all(len(c) == spec.cells + 1 for _, c in first)
 
 
 def test_progress_reports_once_per_row():
