@@ -3,10 +3,10 @@
 The sweep fills the lattice one vertex at a time, maintaining a map from
 frontier state to an accumulated value (a polynomial, a count, or a minimum).
 Rather than branching per state in Python, the per-column transitions are
-compiled once per (kernel, width) into integer tables: arrays of source state
-codes, destination indices for the unoccupied and occupied moves, with
-illegal unoccupied moves dropped.  A column step is then a couple of
-gather/reduce/scatter operations on the whole state vector at once.
+compiled once per (kernel, width) into one gather plan per column: the
+source state of every unoccupied move (illegal ones dropped) and every
+occupied move, grouped by destination.  A column step is then one gather
+and one ``reduceat`` per chunk of about 256 KiB over the whole state array.
 
 Evaluation modes:
 
@@ -15,14 +15,15 @@ Evaluation modes:
 * ``minplus``: lowest attainable degree per state (domination number);
 * ``mincount``: lowest degree and the number of sets attaining it.
 
-The poly step is one grouped gather per column with the occupied move read
-one degree shifted, over the live degrees only.  Its values are int64
-lanes: one unreduced lane while every count provably fits, otherwise one
-lane per residue modulus -- the ``--mod`` prime, or for exact results
-primes below 2^59 recombined by the Chinese remainder theorem.  Count mode
-switches to Python integers past 62 cells.  The torus is handled by the
-cylinder kernel plus an outer loop over start signatures, summing diagonal
-entries.
+The poly step reads the occupied move one degree shifted, over the live
+degrees only.  Values are int64 lanes: one unreduced lane while every
+count provably fits, otherwise one lane per residue modulus -- the
+``--mod`` prime, or for exact results primes below 2^59 recombined by the
+Chinese remainder theorem.  Only the unbounded count stream behind growth
+estimates counts in Python integers.  The count, minplus and mincount
+sweeps batch their columns: the torus trace runs every dihedral start
+orbit as one column of a single cylinder sweep and sums the diagonal
+entries; the torus polynomial runs one sweep per start orbit.
 """
 
 from __future__ import annotations
@@ -109,12 +110,16 @@ def _kernel_for(family: str) -> str:
     return "cylinder" if family == "torus" else family
 
 
+@lru_cache(maxsize=64)
 def _start_codes(kernel: str, m: int) -> np.ndarray:
     """Full-row state codes: the domain at column 1 of every row."""
     if kernel == "king":
         # window = virtual Covered boundary cell + the row itself
-        return signature_codes(m) * 3 + 1
-    return signature_codes(m, cyclic=(kernel == "cylinder"))
+        codes = signature_codes(m) * 3 + 1
+    else:
+        codes = signature_codes(m, cyclic=(kernel == "cylinder"))
+    codes.flags.writeable = False  # cached and shared
+    return codes
 
 
 def _column_images(kernel: str, m: int, c: int, codes: np.ndarray):
@@ -180,43 +185,10 @@ def _column_images_king(m: int, c: int, codes: np.ndarray):
 
 
 @dataclass(frozen=True)
-class _ColumnTable:
-    src_dom: np.ndarray    # sorted state codes entering this column
-    dst_dom: np.ndarray    # sorted state codes after it
-    plain_src: np.ndarray  # indices into src_dom with a legal unoccupied move
-    plain_dst: np.ndarray  # their destination indices into dst_dom
-    occ_dst: np.ndarray    # destination index of the occupied move, per source
-
-
-@lru_cache(maxsize=64)
-def _compiled_tables(kernel: str, m: int) -> tuple[_ColumnTable, ...]:
-    dom = _start_codes(kernel, m)
-    start = dom
-    tables = []
-    for c in range(1, m + 1):
-        valid, plain_dst, occ_dst = _column_images(kernel, m, c, dom)
-        pd = plain_dst[valid]
-        if c == m:
-            nxt = start
-            pi = np.searchsorted(nxt, pd)
-            oi = np.searchsorted(nxt, occ_dst)
-            # completed rows always form valid full-row signatures
-            assert len(pd) == 0 or ((pi < len(nxt)) & (nxt[pi.clip(max=len(nxt) - 1)] == pd)).all()
-            assert ((oi < len(nxt)) & (nxt[oi.clip(max=len(nxt) - 1)] == occ_dst)).all()
-        else:
-            nxt = np.unique(np.concatenate([pd, occ_dst]))
-            pi = np.searchsorted(nxt, pd)
-            oi = np.searchsorted(nxt, occ_dst)
-        tables.append(_ColumnTable(dom, nxt, np.flatnonzero(valid), pi, oi))
-        dom = nxt
-    return tuple(tables)
-
-
-@dataclass(frozen=True)
-class _PolyPlan:
-    """Both moves of one column as one gather grouped by destination.  Poly
-    state arrays end in an all-zero row, which has a group of its own and
-    is what a destination no move reaches gathers."""
+class _GatherPlan:
+    """Both moves of one column as one gather grouped by destination.  State
+    arrays end in a filler row (zero counts, _INF degrees), which has a
+    group of its own and is what a destination no move reaches gathers."""
 
     src: np.ndarray     # source row per gathered row
     plain: np.ndarray   # 1 for the unoccupied move, 0 for the occupied one
@@ -225,19 +197,36 @@ class _PolyPlan:
 
 
 @lru_cache(maxsize=64)
-def _poly_plans(kernel: str, m: int) -> tuple[_PolyPlan, ...]:
+def _gather_plans(kernel: str, m: int) -> tuple[_GatherPlan, ...]:
+    """Compile the columns of one row, from and back to the full-row
+    domain; each column's domain is the sorted set of codes it reaches."""
+    start = dom = _start_codes(kernel, m)
     plans = []
-    for t in _compiled_tables(kernel, m):
-        dst = np.concatenate([t.plain_dst, t.occ_dst])
-        missing = np.setdiff1d(np.arange(len(t.dst_dom) + 1), dst)
+    for c in range(1, m + 1):
+        valid, plain_dst, occ_dst = _column_images(kernel, m, c, dom)
+        moved = np.concatenate([plain_dst[valid], occ_dst])
+        if c == m:
+            nxt = start
+        else:
+            # sort plus diff: np.unique hashes, which is several times slower
+            both = np.sort(moved)
+            nxt = both[np.r_[True, both[1:] != both[:-1]]]
+        dst = np.searchsorted(nxt, moved)
+        # completed rows always form valid full-row signatures
+        assert (nxt[dst.clip(max=len(nxt) - 1)] == moved).all()
+        reached = np.zeros(len(nxt) + 1, dtype=bool)
+        reached[dst] = True
+        missing = np.flatnonzero(~reached)
         dst = np.concatenate([dst, missing])
-        src = np.concatenate([t.plain_src, np.arange(len(t.src_dom)),
-                              np.full(len(missing), len(t.src_dom))])
-        plain = (np.arange(len(src)) < len(t.plain_src)).astype(np.int64)
+        src = np.concatenate([np.flatnonzero(valid), np.arange(len(dom)),
+                              np.full(len(missing), len(dom))])
+        plain = np.zeros(len(src), dtype=np.int8)
+        plain[:np.count_nonzero(valid)] = 1
         order = np.argsort(dst, kind="stable")
-        starts = np.searchsorted(dst[order], np.arange(len(t.dst_dom) + 2))
-        plans.append(_PolyPlan(src[order], plain[order], starts,
-                               int(np.diff(starts).max())))
+        starts = np.searchsorted(dst[order], np.arange(len(nxt) + 2))
+        plans.append(_GatherPlan(src[order], plain[order], starts,
+                                 int(np.diff(starts).max())))
+        dom = nxt
     return tuple(plans)
 
 
@@ -260,14 +249,16 @@ def _no_uncovered_mask(kernel: str, m: int) -> np.ndarray:
 
 # ------------------------------------------------------------ column steps
 
-def _grouped(dst: np.ndarray):
-    order = np.argsort(dst, kind="stable")
-    sdst = dst[order]
-    starts = np.flatnonzero(np.r_[True, sdst[1:] != sdst[:-1]])
-    return order, sdst[starts], starts
+def _chunks(plan: _GatherPlan, row_bytes: int) -> list[tuple[int, int]]:
+    """Destination ranges whose gathered rows fill about _GATHER_BYTES."""
+    groups = len(plan.starts) - 1
+    chunk = max(1, _GATHER_BYTES // row_bytes)
+    cuts = np.searchsorted(plan.starts, range(chunk, len(plan.src), chunk))
+    bounds = [0, *cuts.tolist(), groups]
+    return [(g0, g1) for g0, g1 in zip(bounds[:-1], bounds[1:]) if g0 < g1]
 
 
-def _step_poly(V: np.ndarray, plan: _PolyPlan,
+def _step_poly(V: np.ndarray, plan: _GatherPlan,
                moduli: Optional[np.ndarray]) -> np.ndarray:
     """One column on (lanes, states + 1, 1 + live degrees); one more out.
 
@@ -276,125 +267,160 @@ def _step_poly(V: np.ndarray, plan: _PolyPlan,
     row itself (the unoccupied move), ending in the next row's zero.
     """
     lanes, rows, width = V.shape
-    groups = len(plan.starts) - 1
-    out = np.empty((lanes, groups, width + 1), dtype=np.int64)
+    out = np.empty((lanes, len(plan.starts) - 1, width + 1), dtype=np.int64)
     out[:, :, 0] = 0
     idx = plan.src * width + plan.plain
-    chunk = max(1, _GATHER_BYTES // (8 * width))
-    cuts = np.searchsorted(plan.starts, range(chunk, len(idx), chunk)).tolist()
-    bounds = [0, *cuts, groups]
+    chunks = _chunks(plan, 8 * width)
     for lane in range(lanes):
         windows = np.ndarray((rows * width - width + 1, width), np.int64,
                              buffer=V[lane], strides=(8, 8))
-        for g0, g1 in zip(bounds[:-1], bounds[1:]):
-            if g0 < g1:
-                r0, r1 = plan.starts[g0], plan.starts[g1]
-                np.add.reduceat(windows[idx[r0:r1]], plan.starts[g0:g1] - r0,
-                                axis=0, out=out[lane, g0:g1, 1:])
+        for g0, g1 in chunks:
+            r0, r1 = plan.starts[g0], plan.starts[g1]
+            np.add.reduceat(windows[idx[r0:r1]], plan.starts[g0:g1] - r0,
+                            axis=0, out=out[lane, g0:g1, 1:])
     if moduli is not None:
         out %= moduli[:, None, None]
     return out
 
 
-def _step_count(V: np.ndarray, t: _ColumnTable) -> np.ndarray:
-    out = np.zeros(len(t.dst_dom), dtype=V.dtype)
-    if len(t.plain_src):
-        order, udst, starts = _grouped(t.plain_dst)
-        out[udst] += np.add.reduceat(V[t.plain_src[order]], starts)
-    order, udst, starts = _grouped(t.occ_dst)
-    out[udst] += np.add.reduceat(V[order], starts)
-    return out
+def _step(D: Optional[np.ndarray], C: Optional[np.ndarray], plan: _GatherPlan,
+          moduli: Optional[np.ndarray]):
+    """One column of a one-value semiring on min degrees D (states + 1,
+    starts) and counts C (states + 1, starts, lanes), either one absent.
 
-
-def _step_minplus(V: np.ndarray, t: _ColumnTable) -> np.ndarray:
-    out = np.full(len(t.dst_dom), _INF, dtype=np.int64)
-    if len(t.plain_src):
-        order, udst, starts = _grouped(t.plain_dst)
-        mins = np.minimum.reduceat(V[t.plain_src[order]], starts)
-        out[udst] = np.minimum(out[udst], mins)
-    order, udst, starts = _grouped(t.occ_dst)
-    mins = np.minimum.reduceat(V[order] + 1, starts)
-    out[udst] = np.minimum(out[udst], mins)
-    return out
-
-
-def _mincount_group(vals: np.ndarray, cnts: np.ndarray, dst: np.ndarray):
-    order, udst, starts = _grouped(dst)
-    sv = vals[order]
-    sc = cnts[order]
-    gmin = np.minimum.reduceat(sv, starts)
-    sizes = np.diff(np.append(starts, len(sv)))
-    at_min = sv == np.repeat(gmin, sizes)
-    gcnt = np.add.reduceat(np.where(at_min, sc, 0), starts)
-    return udst, gmin, gcnt
-
-
-def _mincount_merge(outV, outC, udst, gmin, gcnt):
-    cur = outV[udst]
-    take = gmin < cur
-    tie = gmin == cur
-    outC[udst] = np.where(take, gcnt, outC[udst] + np.where(tie, gcnt, 0))
-    outV[udst] = np.minimum(cur, gmin)
-
-
-def _step_mincount(V, C, t: _ColumnTable):
-    outV = np.full(len(t.dst_dom), _INF, dtype=np.int64)
-    outC = np.zeros(len(t.dst_dom), dtype=object)
-    if len(t.plain_src):
-        udst, gmin, gcnt = _mincount_group(V[t.plain_src], C[t.plain_src], t.plain_dst)
-        _mincount_merge(outV, outC, udst, gmin, gcnt)
-    udst, gmin, gcnt = _mincount_group(V + 1, C, t.occ_dst)
-    _mincount_merge(outV, outC, udst, gmin, gcnt)
-    return outV, outC
+    Counts add over a destination's gathered rows; with degrees, only the
+    rows at the destination's minimum degree count.  The occupied move adds
+    one to the degree.
+    """
+    groups = len(plan.starts) - 1
+    outD = None if D is None else np.empty((groups, *D.shape[1:]), D.dtype)
+    outC = None if C is None else np.empty((groups, *C.shape[1:]), C.dtype)
+    row_bytes = 8 * sum(a[0].size for a in (D, C) if a is not None)
+    for g0, g1 in _chunks(plan, row_bytes):
+        r0, r1 = plan.starts[g0], plan.starts[g1]
+        src = plan.src[r0:r1]
+        at = plan.starts[g0:g1] - r0
+        if D is not None:
+            deg = D[src] + (1 - plan.plain[r0:r1])[:, None]
+            np.minimum.reduceat(deg, at, axis=0, out=outD[g0:g1])
+        if C is not None:
+            cnt = C[src]
+            if D is not None:
+                sizes = np.diff(plan.starts[g0:g1 + 1])
+                cnt *= (deg == np.repeat(outD[g0:g1], sizes, axis=0))[..., None]
+            np.add.reduceat(cnt, at, axis=0, out=outC[g0:g1])
+    if moduli is not None:
+        outC %= moduli
+    return outD, outC
 
 
 # ------------------------------------------------------------ sweep driver
 
-def _check_guards(kernel: str, m: int, values: int, guards: Guards) -> None:
-    """`values` is the number of int64 values each state carries."""
+def _check_guards(kernel: str, m: int, values: int, guards: Guards) -> int:
+    """`values` is the number of int64 values each state carries per start;
+    returns how many starts fit two state arrays over the widest compiled
+    column domain into max_memory_bytes (at least one, or GuardExceeded)."""
     bound = _domain_bound(kernel, m)
     if bound > guards.max_states:
         raise GuardExceeded(
             f"state bound {bound} for width {m} exceeds max_states="
             f"{guards.max_states}")
-    estimate = 2 * bound * values * 8
+    rows = max(len(plan.starts) - 1 for plan in _gather_plans(kernel, m))
+    estimate = 2 * rows * values * 8
     if estimate > guards.max_memory_bytes:
         raise GuardExceeded(
             f"estimated working memory {estimate} bytes exceeds "
             f"max_memory_bytes={guards.max_memory_bytes}")
+    return guards.max_memory_bytes // estimate
 
 
-def _sweep(kernel: str, m: int, n: Optional[int], mode: str, start_index: int,
-           guards: Guards) -> Iterator[tuple]:
-    """Run n rows (unbounded for None) of a one-value semiring from an
-    indicator at one full-row state, yielding (row, value arrays on the
-    full-row domain) per row."""
-    _check_guards(kernel, m, 2 if mode == "mincount" else 1, guards)
-    tables = _compiled_tables(kernel, m)
-    size = len(tables[0].src_dom)
-    if mode == "count":
-        exact_int64 = n is not None and m * n <= _COUNT_INT64_CELLS
-        V = np.zeros(size, dtype=np.int64 if exact_int64 else object)
-        V[start_index] = 1
-    elif mode == "minplus":
-        V = np.full(size, _INF, dtype=np.int64)
-        V[start_index] = 0
-    elif mode == "mincount":
-        V = np.full(size, _INF, dtype=np.int64)
-        C = np.zeros(size, dtype=object)
-        V[start_index] = 0
-        C[start_index] = 1
+def _count_lanes(cells: Optional[int]) -> Optional[np.ndarray]:
+    """Count moduli: None for one unreduced lane, which holds every count
+    up to _COUNT_INT64_CELLS cells, else primes with a product above
+    2^(cells+1).  Unbounded sweeps (cells None) count in Python integers."""
+    if cells is None or cells <= _COUNT_INT64_CELLS:
+        return None
+    return np.array(covering_primes(cells + 1, _LANE_PRIME_BITS), dtype=np.int64)
+
+
+def _sweep(kernel: str, m: int, n: Optional[int], mode: str,
+           starts: np.ndarray, moduli: Optional[np.ndarray]) -> Iterator[tuple]:
+    """Run n rows (unbounded for None) of a one-value semiring from one
+    indicator column per full-row state in `starts`, yielding (min degrees,
+    counts) after each row; a part the mode does not carry is None."""
+    size = len(_start_codes(kernel, m))
+    cols = np.arange(len(starts))
+    D = C = None
+    if mode in ("minplus", "mincount"):
+        D = np.full((size + 1, len(starts)), _INF, dtype=np.int64)
+        D[starts, cols] = 0
+    if mode in ("count", "mincount"):
+        C = np.zeros((size + 1, len(starts), 1 if moduli is None else len(moduli)),
+                     dtype=object if n is None else np.int64)
+        C[starts, cols] = 1
+    plans = _gather_plans(kernel, m)
+    for _ in itertools.count(1) if n is None else range(n):
+        for plan in plans:
+            D, C = _step(D, C, plan, moduli)
+        yield D, C
+
+
+def _aggregate(mode: str, deg: Optional[np.ndarray], cnt: Optional[np.ndarray],
+               moduli: Optional[np.ndarray]):
+    """Total, minimum degree, or (minimum degree, its count) over picked
+    entries: degrees shaped (picks,), counts (picks, lanes)."""
+    if mode == "minplus":
+        return int(deg.min())
+    if mode == "mincount":
+        g = int(deg.min())
+        cnt = cnt[deg == g]
+    total = lane_values(lane_sum(cnt.T[:, :, None], moduli), moduli)[0]
+    return total if mode == "count" else (g, total)
+
+
+def _semiring_series(family: str, m: int, n: Optional[int], mode: str,
+                     guards: Guards) -> Iterator:
+    """Per-row aggregates for n = 1..n (unbounded for None).
+
+    Open boards start from the all-covered row and read every state without
+    an uncovered cell.  The torus runs one column per dihedral orbit
+    representative and reads each start's diagonal entry once per orbit
+    member: rotating or reflecting a start signature permutes rows and
+    columns of the transfer operator alike, so diagonal entries are constant
+    on orbits.  Starts are split into blocks only when the memory guard
+    requires it.
+    """
+    kernel = _kernel_for(family)
+    if family == "torus":
+        orbits = dihedral_orbits(m)
+        starts = np.array([_start_index(kernel, m, code) for code, _ in orbits])
+        pick_cols = np.repeat(np.arange(len(orbits)), [w for _, w in orbits])
+        pick_rows = starts[pick_cols]
     else:
-        raise ValueError(f"unknown mode {mode!r}")
-    for r in itertools.count(1) if n is None else range(1, n + 1):
-        for t in tables:
-            if mode == "count":
-                V = _step_count(V, t)
-            elif mode == "minplus":
-                V = _step_minplus(V, t)
-            else:
-                V, C = _step_mincount(V, C, t)
-        yield (r, V) if mode != "mincount" else (r, (V, C))
+        starts = np.array([_start_index(kernel, m, all_covered(m).code)])
+        pick_rows = np.flatnonzero(_no_uncovered_mask(kernel, m))
+        pick_cols = np.zeros_like(pick_rows)
+    moduli = None
+    if mode != "minplus":
+        moduli = _count_lanes(None if n is None else m * n)
+    counts = 0 if mode == "minplus" else 1 if moduli is None else len(moduli)
+    block = _check_guards(kernel, m, (mode != "count") + counts, guards)
+
+    def block_rows(b0):
+        here = (pick_cols >= b0) & (pick_cols < b0 + block)
+        rows, cols = pick_rows[here], pick_cols[here] - b0
+        for D, C in _sweep(kernel, m, n, mode, starts[b0:b0 + block], moduli):
+            yield (None if D is None else D[rows, cols],
+                   None if C is None else C[rows, cols])
+
+    if block >= len(starts):
+        picked = block_rows(0)
+    else:
+        per_block = [list(block_rows(b0)) for b0 in range(0, len(starts), block)]
+        picked = ([None if parts[0] is None else np.concatenate(parts)
+                   for parts in zip(*row)] for row in zip(*per_block))
+    for deg, cnt in picked:
+        yield _aggregate(mode, deg, cnt, moduli)
 
 
 # ------------------------------------------------------------- poly lanes
@@ -413,7 +439,7 @@ def _poly_lanes(kernel: str, m: int, cells: int, modulus: Optional[int],
     _check_guards(kernel, m, max(len(primes), 1) * (cells + 2), guards)
     if not primes:
         return None
-    fan_in = max(2, *(plan.fan_in for plan in _poly_plans(kernel, m)))
+    fan_in = max(2, *(plan.fan_in for plan in _gather_plans(kernel, m)))
     limit = (2**63 - 1) // fan_in + 1
     if max(primes) > limit:
         raise ValueError(
@@ -429,12 +455,12 @@ def _poly_rows(kernel: str, m: int, n: int, start_index: int,
                ) -> Iterator[tuple[int, np.ndarray]]:
     """Run n poly rows from an indicator at one full-row state, yielding
     (row, int64 view shaped (lanes, full-row states, m*row + 1))."""
-    size = len(_compiled_tables(kernel, m)[0].src_dom)
+    size = len(_start_codes(kernel, m))
     V = np.zeros((1 if moduli is None else len(moduli), size + 1, 2),
                  dtype=np.int64)
     V[:, start_index, 1] = 1
     for r in range(1, n + 1):
-        for plan in _poly_plans(kernel, m):
+        for plan in _gather_plans(kernel, m):
             V = _step_poly(V, plan, moduli)
         if progress is not None:
             progress(r, n)
@@ -477,7 +503,7 @@ def run_sweep(spec: GraphSpec, start_signature: Signature,
     kernel = _kernel_for(spec.family)
     idx = _start_index(kernel, spec.m, start_signature.code)
     moduli = _poly_lanes(kernel, spec.m, spec.m * rows, ring.modulus, guards)
-    dom = _compiled_tables(kernel, spec.m)[0].src_dom
+    dom = _start_codes(kernel, spec.m)
     for r, V in _poly_rows(kernel, spec.m, rows, idx, moduli):
         if checkpoint_dir is not None or r == rows:
             flat = lane_values(V.reshape(len(V), -1), moduli)
@@ -548,14 +574,7 @@ def domination_polynomial(spec: GraphSpec, ring: Ring = EXACT,
 def count_series(family: str, m: int, n_max: int,
                  guards: Guards = DEFAULT_GUARDS) -> list[int]:
     """Total number of dominating sets of m x n for n = 1..n_max (exact)."""
-    if family == "torus":
-        return [sum(c for _, c in row.items()) for row in
-                _torus_series(m, n_max, "count", None, guards, 1, True)]
-    kernel = _kernel_for(family)
-    idx = _start_index(kernel, m, all_covered(m).code)
-    mask = _no_uncovered_mask(kernel, m)
-    return [int(V[mask].sum())
-            for _, V in _sweep(kernel, m, n_max, "count", idx, guards)]
+    return list(_semiring_series(family, m, n_max, "count", guards))
 
 
 def iter_counts(family: str, m: int,
@@ -563,47 +582,19 @@ def iter_counts(family: str, m: int,
     """Stream exact totals for n = 1, 2, 3, ... (non-torus families)."""
     if family == "torus":
         raise ValueError("torus totals equal per-n trace sums; use count_series")
-    kernel = _kernel_for(family)
-    idx = _start_index(kernel, m, all_covered(m).code)
-    mask = _no_uncovered_mask(kernel, m)
-    for _, V in _sweep(kernel, m, None, "count", idx, guards):
-        yield int(V[mask].sum())
+    yield from _semiring_series(family, m, None, "count", guards)
 
 
 def gamma_series(family: str, m: int, n_max: int,
                  guards: Guards = DEFAULT_GUARDS) -> list[int]:
     """Domination numbers of family m x n for n = 1..n_max."""
-    if family == "torus":
-        out = []
-        for row in _torus_series(m, n_max, "minplus", None, guards, 1, True):
-            out.append(min(v for _, v in row.items()))
-        return out
-    kernel = _kernel_for(family)
-    idx = _start_index(kernel, m, all_covered(m).code)
-    mask = _no_uncovered_mask(kernel, m)
-    return [int(V[mask].min())
-            for _, V in _sweep(kernel, m, n_max, "minplus", idx, guards)]
+    return list(_semiring_series(family, m, n_max, "minplus", guards))
 
 
 def mincount_series(family: str, m: int, n_max: int,
                     guards: Guards = DEFAULT_GUARDS) -> list[tuple[int, int]]:
     """(gamma, number of minimum dominating sets) for n = 1..n_max."""
-    if family == "torus":
-        out = []
-        for row in _torus_series(m, n_max, "mincount", None, guards, 1, True):
-            g = min(v for (v, _) in row.values())
-            cnt = sum(c for (v, c) in row.values() if v == g)
-            out.append((g, int(cnt)))
-        return out
-    kernel = _kernel_for(family)
-    idx = _start_index(kernel, m, all_covered(m).code)
-    mask = _no_uncovered_mask(kernel, m)
-    out = []
-    for _, (V, C) in _sweep(kernel, m, n_max, "mincount", idx, guards):
-        vm = V[mask]
-        g = int(vm.min())
-        out.append((g, int(C[mask][vm == g].sum())))
-    return out
+    return list(_semiring_series(family, m, n_max, "mincount", guards))
 
 
 def count_dominating(spec: GraphSpec, guards: Guards = DEFAULT_GUARDS) -> int:
@@ -614,64 +605,37 @@ def count_dominating(spec: GraphSpec, guards: Guards = DEFAULT_GUARDS) -> int:
 
 # ------------------------------------------------------------------ torus
 
-def _torus_series(m: int, n_max: int, mode: str, moduli: Optional[np.ndarray],
-                  guards: Guards, workers: int,
-                  orbit_grouping: bool) -> list[dict[int, object]]:
-    """Per-start diagonal readouts for every n = 1..n_max.
+def _torus_series(m: int, n_max: int, moduli: Optional[np.ndarray],
+                  workers: int, orbit_grouping: bool) -> list[np.ndarray]:
+    """Torus polynomial diagonals for every n = 1..n_max: per n, every
+    start's diagonal lanes once per orbit member, (lanes, starts, degrees).
 
-    Returns, for each n, a map {start code: aggregate}.  The aggregate is an
-    int (count), a min degree (minplus), or a (min, count) pair (mincount),
-    already multiplied by the orbit size when grouping is on; for poly it is
-    the diagonal's lanes once per orbit member, (lanes, orbit size, degrees).
-    Rotating or reflecting a start signature permutes rows and columns of
-    the transfer operator identically, so diagonal entries are constant on
-    orbits and one representative per orbit suffices.
+    Each start runs its own poly sweep; grouping reads one representative
+    per dihedral orbit (see :func:`_semiring_series`).
     """
     if orbit_grouping:
         starts = dihedral_orbits(m)
     else:
         starts = [(int(c), 1) for c in signature_codes(m, cyclic=True)]
-    if workers > 1 and len(starts) > 1:
-        chunks = [starts[i::workers] for i in range(workers)]
-        args = [(m, n_max, mode, moduli, chunk,
-                 guards.max_states, guards.max_memory_bytes)
-                for chunk in chunks if chunk]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(_torus_chunk_worker, args))
-        rows: list[dict[int, object]] = [dict() for _ in range(n_max)]
-        for partial in partials:
-            for r in range(n_max):
-                rows[r].update(partial[r])
-        return [dict(sorted(row.items())) for row in rows]
-    return _torus_chunk_worker((m, n_max, mode, moduli, starts,
-                                guards.max_states, guards.max_memory_bytes))
+    workers = max(workers, 1)
+    chunks = [(m, n_max, moduli, starts[i::workers]) for i in range(workers)
+              if starts[i::workers]]
+    if len(chunks) > 1:
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            partials = list(pool.map(_torus_chunk_worker, chunks))
+    else:
+        partials = [_torus_chunk_worker(chunk) for chunk in chunks]
+    return [np.concatenate(row, axis=1) for row in zip(*partials)]
 
 
-def _torus_single(m, n_max, mode, moduli, code, weight, guards):
-    idx = _start_index("cylinder", m, code)
-    if mode == "poly":
-        for r, V in _poly_rows("cylinder", m, n_max, idx, moduli):
-            yield r, np.repeat(V[:, idx:idx + 1], weight, axis=1)
-        return
-    for r, val in _sweep("cylinder", m, n_max, mode, idx, guards):
-        if mode == "count":
-            yield r, int(val[idx]) * weight
-        elif mode == "minplus":
-            yield r, int(val[idx])
-        else:
-            V, C = val
-            yield r, (int(V[idx]), C[idx] * weight)
-
-
-def _torus_chunk_worker(args):
-    m, n_max, mode, moduli, chunk, max_states, max_memory = args
-    guards = Guards(max_states, max_memory)
-    rows: list[dict[int, object]] = [dict() for _ in range(n_max)]
+def _torus_chunk_worker(args) -> list[np.ndarray]:
+    m, n_max, moduli, chunk = args
+    rows: list[list[np.ndarray]] = [[] for _ in range(n_max)]
     for code, weight in chunk:
-        for r, agg in _torus_single(m, n_max, mode, moduli, code, weight,
-                                    guards):
-            rows[r - 1][code] = agg
-    return rows
+        idx = _start_index("cylinder", m, code)
+        for r, V in _poly_rows("cylinder", m, n_max, idx, moduli):
+            rows[r - 1].append(np.repeat(V[:, idx:idx + 1], weight, axis=1))
+    return [np.concatenate(row, axis=1) for row in rows]
 
 
 def torus_polynomial_series(m: int, n_max: int, ring: Ring = EXACT,
@@ -679,11 +643,9 @@ def torus_polynomial_series(m: int, n_max: int, ring: Ring = EXACT,
                             orbit_grouping: bool = True) -> list[Polynomial]:
     """Torus domination polynomials for every n = 1..n_max."""
     moduli = _poly_lanes("cylinder", m, m * n_max, ring.modulus, guards)
-    rows = _torus_series(m, n_max, "poly", moduli, guards, workers,
-                         orbit_grouping)
     out = []
-    for row in rows:
-        acc = lane_sum(np.concatenate(list(row.values()), axis=1), moduli)
+    for row in _torus_series(m, n_max, moduli, workers, orbit_grouping):
+        acc = lane_sum(row, moduli)
         out.append(Polynomial.from_coefficients(
             lane_values(acc, moduli), ring).trimmed())
     return out

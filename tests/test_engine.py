@@ -2,6 +2,7 @@ from itertools import islice
 
 import pytest
 
+from domcount import engine
 from domcount.engine import (
     DEFAULT_GUARDS,
     FAMILIES,
@@ -24,7 +25,7 @@ from domcount.errors import GuardExceeded
 from domcount.oracle import brute_force_polynomial
 from domcount.rings import (EXACT, Polynomial, Ring, eval_at_one, poly_add,
                             select_moduli)
-from domcount.signatures import Signature, all_covered
+from domcount.signatures import Signature, all_covered, dihedral_orbits
 from domcount.transfer import build_transfer_matrix
 
 
@@ -210,6 +211,31 @@ def test_guards_trip_before_big_allocations():
         domination_polynomial(GraphSpec("king", 8, 8),
                               guards=Guards(max_memory_bytes=1000))
     assert DEFAULT_GUARDS.max_states > 10**6
+
+
+def test_count_lanes_past_62_cells(appendix_poly, grid_totals):
+    # 64 cells: two prime lanes for the counts of the torus 8x8 trace
+    gamma, count = mincount_series("torus", 8, 8)[-1]
+    assert (gamma, count) == (16, 129224)
+    assert count_series("torus", 8, 8)[-1] == sum(appendix_poly("torus", 8))
+    # 121 cells: three lanes on an open board
+    assert count_series("grid", 11, 11)[-1] == grid_totals[11]
+
+
+@pytest.mark.parametrize("m, n", [(6, 6), (5, 13)])
+def test_torus_start_blocks_do_not_change_the_result(m, n):
+    # 5x13 has 65 cells, so its counts run in two prime lanes
+    whole = (count_series("torus", m, n), gamma_series("torus", m, n),
+             mincount_series("torus", m, n))
+    rows = max(len(plan.starts) - 1
+               for plan in engine._gather_plans("cylinder", m))
+    # two state arrays of int64: room for nine starts of one value each
+    guards = Guards(max_memory_bytes=9 * 2 * rows * 8)
+    assert 1 < engine._check_guards("cylinder", m, 1, guards) < \
+        len(dihedral_orbits(m))
+    assert (count_series("torus", m, n, guards=guards),
+            gamma_series("torus", m, n, guards=guards),
+            mincount_series("torus", m, n, guards=guards)) == whole
 
 
 def test_crt_pipeline_reconstructs_the_exact_polynomial():

@@ -1,8 +1,9 @@
 """Randomized cross-checks of the sweep engine.
 
-The engine against the brute-force oracle on random small boards, and
-modular runs against exact ones on boards past the 66 cells one unreduced
-int64 lane can hold, for moduli from 31 bits up to the admissible bound.
+The engine's polynomials and its count, min-plus and mincount series
+against the brute-force oracle on random small boards, and modular runs
+against exact ones on boards past the 66 cells one unreduced int64 lane
+can hold, for moduli from 31 bits up to the admissible bound.
 """
 
 from functools import lru_cache
@@ -11,15 +12,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from domcount.engine import FAMILIES, GraphSpec, domination_polynomial
+from domcount.engine import (FAMILIES, GraphSpec, count_series,
+                             domination_polynomial, gamma_series,
+                             mincount_series)
 from domcount.oracle import brute_force_polynomial
-from domcount.rings import Ring, is_probable_prime
+from domcount.rings import Ring, eval_at_one, is_probable_prime
 
 
 @st.composite
-def small_boards(draw):
+def small_boards(draw, max_width=20):
     family = draw(st.sampled_from(FAMILIES))
-    m = draw(st.integers(1, 20))
+    m = draw(st.integers(1, max_width))
     n = draw(st.integers(1, 20 // m))
     return GraphSpec(family, m, n)
 
@@ -28,6 +31,21 @@ def small_boards(draw):
 @given(small_boards())
 def test_engine_matches_the_oracle(spec):
     assert domination_polynomial(spec) == brute_force_polynomial(spec)
+
+
+# the series sweep along m as given, never the narrower side, so a wide
+# one-row board such as king 18x1 exceeds the default state guard
+@settings(max_examples=25, deadline=None)
+@given(small_boards(max_width=10))
+def test_semiring_series_match_the_oracle(spec):
+    polys = [brute_force_polynomial(GraphSpec(spec.family, spec.m, n))
+             for n in range(1, spec.n + 1)]
+    lowest = [poly.min_degree() for poly in polys]
+    assert count_series(spec.family, spec.m, spec.n) == \
+        [eval_at_one(poly) for poly in polys]
+    assert gamma_series(spec.family, spec.m, spec.n) == lowest
+    assert mincount_series(spec.family, spec.m, spec.n) == \
+        [(g, poly.coefficient(g)) for g, poly in zip(lowest, polys)]
 
 
 @st.composite
