@@ -5,12 +5,13 @@ count of minimum dominating sets, the total at z=1), and the growth-rate
 pipeline.  The latter estimates, per strip width m, the per-vertex growth
 constant mu_m = lim_n (T(m, n) / T(m, n-1))^(1/m) where T counts dominating
 sets, then extrapolates mu_m over x = 1/m to x = 0 with rational
-Bulirsch-Stoer acceleration to estimate the bulk constant.
+Bulirsch-Stoer acceleration to estimate the bulk constant.  The ratios come
+from a float64 power iteration, so a strip converges to at most MAX_DIGITS
+stable digits.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import ceil
 from typing import Optional, Sequence
@@ -21,6 +22,10 @@ from . import engine
 from .rings import Polynomial
 
 _WORK_DPS = 60
+
+# float64 ratios carry about 16 significant digits and settle into a fixed
+# point of their own rounding, which would pass a 15- or 16-digit test
+MAX_DIGITS = 14
 
 
 @dataclass(frozen=True)
@@ -64,22 +69,26 @@ class GrowthSample:
     n_used: int
 
 
+def _check_digits(precision_digits: int) -> None:
+    if not 1 <= precision_digits <= MAX_DIGITS:
+        raise ValueError(f"precision digits must be in 1..{MAX_DIGITS}: "
+                         f"strip ratios are float64")
+
+
 def _growth_sample(family: str, m: int, precision_digits: int, n_cap: int,
                    guards: engine.Guards) -> GrowthSample:
     if family == "torus":
         raise ValueError("torus growth equals the cylinder's; compute that")
+    _check_digits(precision_digits)
     with mpmath.workdps(_WORK_DPS):
         tol = mpmath.mpf(10) ** (-precision_digits)
-        prev_total: Optional[int] = None
         prev_mu: Optional[mpmath.mpf] = None
-        for n, total in enumerate(engine.iter_counts(family, m, guards), start=1):
-            if prev_total is not None:
-                ratio = mpmath.mpf(total) / mpmath.mpf(prev_total)
+        for n, ratio in enumerate(engine.iter_ratios(family, m, guards), start=1):
+            if n >= 2:  # T(1) / T(0) is all boundary
                 mu = mpmath.root(ratio, m)
                 if prev_mu is not None and n >= 4 and abs(mu - prev_mu) <= tol * mu:
                     return GrowthSample(m, mu, n)
                 prev_mu = mu
-            prev_total = total
             if n >= n_cap:
                 raise RuntimeError(
                     f"mu_{m} for {family} did not stabilize to "
@@ -203,11 +212,14 @@ def estimate_growth(family: str, m_min: int = 3, m_max: int = 12,
     """
     if m_max - m_min + 1 < 3:
         raise ValueError("need at least three widths")
+    _check_digits(precision_digits)
     strip_family = "cylinder" if family == "torus" else family
     ms = list(range(m_min, m_max + 1))
     if workers > 1:
         jobs = [(strip_family, m, precision_digits, n_cap,
                  guards.max_states, guards.max_memory_bytes) for m in ms]
+        # imported here: it loads multiprocessing, which serial runs skip
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             raw = list(pool.map(_sample_worker, jobs))
         with mpmath.workdps(_WORK_DPS):

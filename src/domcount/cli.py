@@ -18,7 +18,7 @@ from importlib import resources
 from math import ceil
 from typing import Callable, Optional, Sequence
 
-from . import analysis, engine
+from . import engine
 from .errors import GuardExceeded, VerificationError
 from .oracle import brute_force_polynomial
 from .rings import EXACT, Polynomial, Ring
@@ -237,11 +237,16 @@ def _table_values(kind: str, family: str, m: int, n_max: int,
 def cmd_table(req: RunRequest, kind: str) -> int:
     m_lo, m_hi = req.m_range or (1, 8)
     n_lo, n_hi = req.n_range or (1, 8)
-    cols = {}
-    for m in range(m_lo, m_hi + 1):
-        cols[m] = _table_values(kind, req.family, m, n_hi, req.guards)[n_lo - 1:]
     ms = list(range(m_lo, m_hi + 1))
     ns = list(range(n_lo, n_hi + 1))
+    if req.family != "cylinder" and m_hi > n_hi:
+        # transpose symmetric: sweep the narrower side, width n
+        rows = [_table_values(kind, req.family, n, m_hi, req.guards)[m_lo - 1:]
+                for n in ns]
+        cols = {m: [row[j] for row in rows] for j, m in enumerate(ms)}
+    else:
+        cols = {m: _table_values(kind, req.family, m, n_hi, req.guards)[n_lo - 1:]
+                for m in ms}
     if req.fmt == "json":
         rows = [[cols[m][i] if kind == "gamma" else str(cols[m][i]) for m in ms]
                 for i in range(len(ns))]
@@ -257,6 +262,9 @@ def cmd_table(req: RunRequest, kind: str) -> int:
 
 
 def cmd_growth(req: RunRequest, digits: int, n_cap: int) -> int:
+    import mpmath
+
+    from . import analysis  # mpmath loads only for growth
     m_lo, m_hi = req.m_range
     est = analysis.estimate_growth(req.family, m_lo, m_hi,
                                    precision_digits=digits, n_cap=n_cap,
@@ -265,7 +273,6 @@ def cmd_growth(req: RunRequest, digits: int, n_cap: int) -> int:
     if req.fmt == "json":
         sys.stdout.write(json.dumps(est.to_json()) + "\n")
         return EXIT_OK
-    import mpmath
     lines = [f"m={s.m} n_used={s.n_used} mu_m={mpmath.nstr(s.mu, 20)}"
              for s in est.samples]
     lines.append(f"mu = {mpmath.nstr(est.mu, 20)} (error ~ "

@@ -19,9 +19,10 @@ The poly step reads the occupied move one degree shifted, over the live
 degrees only.  Values are int64 lanes: one unreduced lane while every
 count provably fits, otherwise one lane per residue modulus -- the
 ``--mod`` prime, or for exact results primes below 2^59 recombined by the
-Chinese remainder theorem.  Only the unbounded count stream behind growth
-estimates counts in Python integers.  The count, minplus and mincount
-sweeps batch their columns: the torus trace runs every dihedral start
+Chinese remainder theorem.  Growth estimates run the count step in float64,
+renormalized after every row; only the exact unbounded count stream
+(:func:`iter_counts`) counts in Python integers.  The count, minplus and
+mincount sweeps batch their columns: the torus trace runs every dihedral start
 orbit as one column of a single cylinder sweep and sums the diagonal
 entries; the torus polynomial runs one sweep per start orbit.
 """
@@ -29,7 +30,6 @@ entries; the torus polynomial runs one sweep per start orbit.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, Optional
@@ -585,6 +585,32 @@ def iter_counts(family: str, m: int,
     yield from _semiring_series(family, m, None, "count", guards)
 
 
+def iter_ratios(family: str, m: int,
+                guards: Guards = DEFAULT_GUARDS) -> Iterator[float]:
+    """Stream T(n) / T(n-1) for n = 1, 2, 3, ... in float64, T(0) = 1
+    (non-torus families).
+
+    A power iteration of the count step: after each row the state vector
+    is divided by its readout, so the readout is the ratio itself and no
+    value outgrows it.  Every term is nonnegative, so nothing cancels and
+    the relative rounding error stays near float64's own.
+    """
+    if family == "torus":
+        raise ValueError("torus ratios equal the cylinder's; use the cylinder")
+    kernel = _kernel_for(family)
+    _check_guards(kernel, m, 1, guards)
+    mask = np.append(_no_uncovered_mask(kernel, m), False)  # not the filler row
+    C = np.zeros((len(mask), 1, 1))
+    C[_start_index(kernel, m, all_covered(m).code)] = 1.0
+    plans = _gather_plans(kernel, m)
+    while True:
+        for plan in plans:
+            _, C = _step(None, C, plan, None)
+        ratio = C[mask].sum()
+        C /= ratio
+        yield float(ratio)
+
+
 def gamma_series(family: str, m: int, n_max: int,
                  guards: Guards = DEFAULT_GUARDS) -> list[int]:
     """Domination numbers of family m x n for n = 1..n_max."""
@@ -621,6 +647,8 @@ def _torus_series(m: int, n_max: int, moduli: Optional[np.ndarray],
     chunks = [(m, n_max, moduli, starts[i::workers]) for i in range(workers)
               if starts[i::workers]]
     if len(chunks) > 1:
+        # imported here: it loads multiprocessing, which serial runs skip
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             partials = list(pool.map(_torus_chunk_worker, chunks))
     else:
@@ -684,6 +712,8 @@ def crt_domination_polynomial(spec: GraphSpec, b: int = 16, workers: int = 1,
     jobs = [(spec.family, spec.m, spec.n, p, guards.max_states,
              guards.max_memory_bytes) for p in moduli.primes]
     if workers > 1 and len(jobs) > 1:
+        # imported here: it loads multiprocessing, which serial runs skip
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_mod_poly_worker, jobs))
     else:

@@ -20,7 +20,6 @@ from enum import IntEnum
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
-import mpmath
 import numpy as np
 
 MAX_WIDTH = 40  # 3**40 < 2**64: codes stay representable in a machine word
@@ -218,7 +217,7 @@ def count_signatures(m: int, variant: str = "plain", c: Optional[int] = None) ->
 
 
 #: growth base of the plain signature count, 1 + sqrt(2)
-GROWTH_BASE = 1 + mpmath.sqrt(2)
+GROWTH_BASE = 1 + 2 ** 0.5
 
 
 def closed_form_count(m: int, variant: str = "plain") -> int:
@@ -228,6 +227,8 @@ def closed_form_count(m: int, variant: str = "plain") -> int:
     source of truth.  Evaluated at 50 significant digits so rounding is exact
     for every width up to MAX_WIDTH.
     """
+    import mpmath
+
     if m < 0:
         raise ValueError("width must be nonnegative")
     with mpmath.workdps(50):

@@ -8,7 +8,7 @@ from domcount.analysis import (
     growth_rate_m,
     stats_from_polynomial,
 )
-from domcount.engine import GraphSpec, domination_polynomial
+from domcount.engine import GraphSpec, domination_polynomial, iter_counts
 from domcount.rings import Polynomial
 
 
@@ -99,11 +99,42 @@ def test_growth_rate_of_the_single_column_strip():
         assert abs(mu - anchor) < mpmath.mpf(10) ** -12
 
 
+def _exact_growth_sample(family, m, digits):
+    """mu_m and n_used from exact count ratios, the same convergence test."""
+    with mpmath.workdps(60):
+        tol = mpmath.mpf(10) ** -digits
+        prev_total = prev_mu = None
+        for n, total in enumerate(iter_counts(family, m), start=1):
+            if prev_total is not None:
+                mu = mpmath.root(mpmath.mpf(total) / prev_total, m)
+                if prev_mu is not None and n >= 4 and abs(mu - prev_mu) <= tol * mu:
+                    return mu, n
+                prev_mu = mu
+            prev_total = total
+
+
+@pytest.mark.parametrize("family, m_min, m_max",
+                         [("grid", 1, 9), ("cylinder", 3, 9), ("king", 3, 9)])
+def test_float_growth_matches_the_exact_count_stream(family, m_min, m_max):
+    est = estimate_growth(family, m_min, m_max, precision_digits=13)
+    for s in est.samples:
+        mu, n_used = _exact_growth_sample(family, s.m, 13)
+        assert s.n_used == n_used, f"{family} m={s.m}"
+        # float64 ratios: a few ulps relative, shrunk by the m-th root
+        with mpmath.workdps(60):
+            assert abs(s.mu - mu) <= mpmath.mpf("1e-15") * mu, f"{family} m={s.m}"
+
+
 def test_growth_rate_refuses_to_run_past_the_cap():
     with pytest.raises(RuntimeError):
         growth_rate_m("grid", 3, precision_digits=13, n_cap=5)
     with pytest.raises(ValueError):
         growth_rate_m("torus", 3)
+    for digits in (0, 15):
+        with pytest.raises(ValueError):
+            growth_rate_m("grid", 3, precision_digits=digits)
+        with pytest.raises(ValueError):
+            estimate_growth("grid", 3, 5, precision_digits=digits)
 
 
 def test_estimate_growth_small_run():

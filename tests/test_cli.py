@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import domcount
 from domcount import cli
 from domcount.engine import GraphSpec, domination_polynomial
 from domcount.errors import VerificationError
@@ -104,6 +109,40 @@ def test_table_total_json(grid_totals, capsys):
     assert payload["rows"][1][1] == str(grid_totals[2])
 
 
+def test_wide_short_tables_sweep_the_narrow_side(capsys):
+    # width 18 would exceed the default state bound; width 1 is instant
+    code, out, _ = run(["table", "gamma", "--family", "king",
+                        "--m-range", "18", "--n-range", "1"], capsys)
+    assert code == 0
+    assert out == "n/m,18\n1,6\n"
+    for kind in ("total", "ngamma"):
+        code, wide, _ = run(["table", kind, "--family", "grid", "--m-range",
+                             "1:6", "--n-range", "1:3", "--format", "json"], capsys)
+        code2, tall, _ = run(["table", kind, "--family", "grid", "--m-range",
+                              "1:3", "--n-range", "1:6", "--format", "json"], capsys)
+        assert (code, code2) == (0, 0)
+        wide, tall = json.loads(wide), json.loads(tall)
+        assert (wide["m_values"], wide["n_values"]) == ([1, 2, 3, 4, 5, 6], [1, 2, 3])
+        assert wide["rows"] == [list(col) for col in zip(*tall["rows"])]
+
+
+def test_count_table_and_poly_load_neither_mpmath_nor_multiprocessing():
+    script = (
+        "import sys\n"
+        "from domcount import cli\n"
+        "for argv in (['count', '--family', 'grid', '-m', '3', '-n', '3'],\n"
+        "             ['table', 'ngamma', '--family', 'king', '--m-range', '1:3'],\n"
+        "             ['poly', '--family', 'grid', '-m', '3', '-n', '3']):\n"
+        "    assert cli.main(argv) == 0\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] in ('mpmath', 'multiprocessing')))\n")
+    src = str(Path(domcount.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_growth_json(capsys):
     code, out, _ = run(["growth", "--family", "grid", "--m-range", "3:5",
                         "--digits", "8", "--workers", "1"], capsys)
@@ -190,6 +229,8 @@ def test_argument_errors_exit_4(capsys):
 def test_bad_values_exit_4(capsys):
     for argv in (
         ["poly", "--family", "grid", "-m", "0", "-n", "2"],
+        ["growth", "--family", "grid", "--m-range", "3:5", "--digits", "15",
+         "--workers", "1"],
         ["table", "ngamma", "--family", "grid", "--m-range", "two:3"],
         ["table", "ngamma", "--family", "grid", "--m-range", "5:3"],
     ):
