@@ -5,8 +5,11 @@ frontier state to an accumulated value (a polynomial, a count, or a minimum).
 Rather than branching per state in Python, the per-column transitions are
 compiled once per (kernel, width) into one gather plan per column: the
 source state of every unoccupied move (illegal ones dropped) and every
-occupied move, grouped by destination.  A column step is then one gather
-and one ``reduceat`` per chunk of about 256 KiB over the whole state array.
+occupied move, grouped by destination.  A count, minplus or mincount step
+is then one gather and one ``reduceat`` per chunk of about 256 KiB over the
+whole state array.  The poly step splits each plan into fan-in layers,
+layer k the k-th gathered row of every destination that has one: it
+assigns layer 0 and adds each later layer, in gathers of the same size.
 
 Evaluation modes:
 
@@ -19,11 +22,12 @@ The poly step reads the occupied move one degree shifted, over the live
 degrees only.  Values are int64 lanes: one unreduced lane while every
 count provably fits, otherwise one lane per residue modulus -- the
 ``--mod`` prime, or for exact results primes below 2^59 recombined by the
-Chinese remainder theorem.  Growth estimates run the count step in float64,
-renormalized after every row; only the exact unbounded count stream
-(:func:`iter_counts`) counts in Python integers.  The count, minplus and
-mincount sweeps batch their columns: the torus trace runs every dihedral start
-orbit as one column of a single cylinder sweep and sums the diagonal
+Chinese remainder theorem.  Poly lanes are reduced only when another step
+could pass 2^63, and at every row end.  Growth estimates run the count step
+in float64, renormalized after every row; only the exact unbounded count
+stream (:func:`iter_counts`) counts in Python integers.  The count, minplus
+and mincount sweeps batch their columns: the torus trace runs every dihedral
+start orbit as one column of a single cylinder sweep and sums the diagonal
 entries; the torus polynomial runs one sweep per start orbit.
 """
 
@@ -61,7 +65,7 @@ _POLY_INT64_CELLS = 66
 _COUNT_INT64_CELLS = 62
 
 _LANE_PRIME_BITS = 59      # exact-run residue primes lie below 2^59
-_GATHER_BYTES = 256 << 10  # gather chunk size of the poly step
+_GATHER_BYTES = 256 << 10  # gather chunk size of every column step
 
 _INF = 1 << 62  # min-plus sentinel; survives adding one per placed vertex
 
@@ -230,6 +234,26 @@ def _gather_plans(kernel: str, m: int) -> tuple[_GatherPlan, ...]:
     return tuple(plans)
 
 
+@lru_cache(maxsize=64)
+def _poly_layers(kernel: str, m: int) -> tuple[tuple, ...]:
+    """The gather plans of one row split into fan-in layers, for the poly
+    step: per column, layer k holds (destination, source, plain) of the
+    k-th gathered row of every destination that has more than k, so layer
+    0 lists every destination in order.  int32 and int8, and cached apart
+    from the plans, so that only poly runs hold them."""
+    columns = []
+    for plan in _gather_plans(kernel, m):
+        sizes = np.diff(plan.starts)
+        layers = []
+        for k in range(plan.fan_in):
+            dst = np.flatnonzero(sizes > k)
+            rows = plan.starts[dst] + k
+            layers.append((dst.astype(np.int32), plan.src[rows].astype(np.int32),
+                           plan.plain[rows]))
+        columns.append(tuple(layers))
+    return tuple(columns)
+
+
 def _domain_bound(kernel: str, m: int) -> int:
     # kinked mid-row domains never exceed three times the full-row count
     if kernel == "king":
@@ -258,28 +282,30 @@ def _chunks(plan: _GatherPlan, row_bytes: int) -> list[tuple[int, int]]:
     return [(g0, g1) for g0, g1 in zip(bounds[:-1], bounds[1:]) if g0 < g1]
 
 
-def _step_poly(V: np.ndarray, plan: _GatherPlan,
-               moduli: Optional[np.ndarray]) -> np.ndarray:
+def _step_poly(V: np.ndarray, layers: tuple) -> np.ndarray:
     """One column on (lanes, states + 1, 1 + live degrees); one more out.
 
     Column 0 is zero, so the window starting at a row is the row shifted
     one degree up (the occupied move) and the window one element later the
-    row itself (the unoccupied move), ending in the next row's zero.
+    row itself (the unoccupied move), ending in the next row's zero.  Layer
+    0 of the fan-in layers assigns every destination its first gathered
+    row; each later layer adds one more row to the destinations that have
+    it, and no destination appears twice within a layer.
     """
     lanes, rows, width = V.shape
-    out = np.empty((lanes, len(plan.starts) - 1, width + 1), dtype=np.int64)
+    out = np.empty((lanes, len(layers[0][0]), width + 1), dtype=np.int64)
     out[:, :, 0] = 0
-    idx = plan.src * width + plan.plain
-    chunks = _chunks(plan, 8 * width)
-    for lane in range(lanes):
-        windows = np.ndarray((rows * width - width + 1, width), np.int64,
-                             buffer=V[lane], strides=(8, 8))
-        for g0, g1 in chunks:
-            r0, r1 = plan.starts[g0], plan.starts[g1]
-            np.add.reduceat(windows[idx[r0:r1]], plan.starts[g0:g1] - r0,
-                            axis=0, out=out[lane, g0:g1, 1:])
-    if moduli is not None:
-        out %= moduli[:, None, None]
+    windows = [np.ndarray((rows * width - width + 1, width), np.int64,
+                          buffer=V[lane], strides=(8, 8)) for lane in range(lanes)]
+    chunk = max(1, _GATHER_BYTES // (8 * width))
+    for k, (dst, src, plain) in enumerate(layers):
+        for a in range(0, len(src), chunk):
+            idx = src[a:a + chunk] * np.int64(width) + plain[a:a + chunk]
+            for lane in range(lanes):
+                if k == 0:
+                    out[lane, a:a + chunk, 1:] = windows[lane][idx]
+                else:
+                    out[lane, dst[a:a + chunk], 1:] += windows[lane][idx]
     return out
 
 
@@ -459,9 +485,19 @@ def _poly_rows(kernel: str, m: int, n: int, start_index: int,
     V = np.zeros((1 if moduli is None else len(moduli), size + 1, 2),
                  dtype=np.int64)
     V[:, start_index, 1] = 1
+    # top bounds every value of V; a step multiplies it by the fan-in
+    top = 1
     for r in range(1, n + 1):
-        for plan in _gather_plans(kernel, m):
-            V = _step_poly(V, plan, moduli)
+        for layers in _poly_layers(kernel, m):
+            if moduli is not None and top * len(layers) >= 2**63:
+                V %= moduli[:, None, None]
+                top = int(moduli.max()) - 1
+            V = _step_poly(V, layers)
+            top *= len(layers)
+        # readouts, checkpoints and torus diagonals take residues
+        if moduli is not None:
+            V %= moduli[:, None, None]
+            top = int(moduli.max()) - 1
         if progress is not None:
             progress(r, n)
         yield r, V[:, :-1, 1:]

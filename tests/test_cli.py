@@ -8,6 +8,7 @@ import pytest
 
 import domcount
 from domcount import cli
+from domcount.checkpoints import load_checkpoint
 from domcount.engine import GraphSpec, domination_polynomial
 from domcount.errors import VerificationError
 from domcount.rings import Ring
@@ -70,6 +71,29 @@ def test_poly_checkpoint_dir(tmp_path, capsys):
     assert out == plain_out
     assert sorted(f.name for f in tmp_path.glob("*.chk")) == \
         ["row_0001.chk", "row_0002.chk", "row_0003.chk"]
+
+
+# no unreduced value may reach a checkpoint: every `--mod P` row file is
+# the exact run's file with each coefficient reduced mod P
+@pytest.mark.parametrize("modulus", [7, 2147483647, 144115188075855859])
+@pytest.mark.parametrize("family, m, n", [("grid", 3, 23), ("king", 4, 6)])
+def test_mod_checkpoints_are_the_reduced_exact_checkpoints(
+        tmp_path, capsys, family, m, n, modulus):
+    args = ["poly", "--family", family, "-m", str(m), "-n", str(n),
+            "--checkpoint-dir"]
+    assert run(args + [str(tmp_path / "exact")], capsys)[0] == 0
+    assert run(args + [str(tmp_path / "mod"), "--mod", str(modulus)],
+               capsys)[0] == 0
+    names = [f"row_{r:04d}.chk" for r in range(1, n + 1)]
+    for d in ("exact", "mod"):
+        assert sorted(f.name for f in (tmp_path / d).iterdir()) == names
+    for name in names:
+        header, items = load_checkpoint(tmp_path / "exact" / name)
+        mod_header, mod_items = load_checkpoint(tmp_path / "mod" / name)
+        assert mod_header == dict(header, ring=f"mod {modulus}")
+        reduced = [(code, tuple(c % modulus for c in coeffs))
+                   for code, coeffs in items]
+        assert mod_items == [item for item in reduced if any(item[1])]
 
 
 def test_torus_checkpoint_is_an_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
 from itertools import islice
 
+import numpy as np
 import pytest
 
 from domcount import engine
@@ -23,8 +24,8 @@ from domcount.engine import (
 from domcount.checkpoints import load_checkpoint, save_checkpoint
 from domcount.errors import GuardExceeded
 from domcount.oracle import brute_force_polynomial
-from domcount.rings import (EXACT, Polynomial, Ring, eval_at_one, poly_add,
-                            select_moduli)
+from domcount.rings import (EXACT, Polynomial, Ring, eval_at_one,
+                            is_probable_prime, poly_add, select_moduli)
 from domcount.signatures import Signature, all_covered, dihedral_orbits
 from domcount.transfer import build_transfer_matrix
 
@@ -316,6 +317,51 @@ def test_moduli_past_the_fan_in_bound_are_rejected(family, limit):
     for modulus in (limit + 1, 2**70):
         with pytest.raises(ValueError, match="admissible"):
             domination_polynomial(spec, ring=Ring(modulus))
+
+
+@pytest.mark.parametrize("kernel", ["grid", "cylinder", "king"])
+def test_poly_layers_list_every_gathered_row_once(kernel):
+    for m in range(1, 8):
+        plans = engine._gather_plans(kernel, m)
+        columns = engine._poly_layers(kernel, m)
+        assert len(columns) == len(plans)
+        for plan, layers in zip(plans, columns):
+            groups = len(plan.starts) - 1
+            assert layers[0][0].tolist() == list(range(groups))
+            assert len(layers) == plan.fan_in
+            for dst, _, _ in layers:
+                assert (np.diff(dst) > 0).all()  # one row per destination
+            dst = np.repeat(np.arange(groups), np.diff(plan.starts))
+            want = sorted(zip(dst.tolist(), plan.src.tolist(),
+                              plan.plain.tolist()))
+            got = sorted(triple for layer in layers
+                         for triple in zip(*(part.tolist() for part in layer)))
+            assert got == want
+
+
+def _largest_admissible_prime(kernel, m):
+    fan_in = max(2, *(plan.fan_in for plan in engine._gather_plans(kernel, m)))
+    p = (2**63 - 1) // fan_in + 1
+    while not is_probable_prime(p):
+        p -= 1
+    return p
+
+
+# values are reduced only when another step could pass 2^63, and at every
+# row end; on these boards states hold values well past P, so one skipped
+# reduction overflows
+@pytest.mark.parametrize("family, m, n, modulus", [
+    ("king", 8, 10, None),      # fan-in 14: a reduction before every column
+    ("king", 8, 10, 3),         # one reduction per row, at the row end
+    ("cylinder", 8, 12, None),  # fan-in 9: a reduction before every column
+])
+def test_lazy_reduction_matches_the_reduced_exact_series(family, m, n, modulus):
+    p = modulus or _largest_admissible_prime(family, m)
+    exact = polynomial_series(family, m, n)
+    assert max(exact[-1].coefficients) > p
+    got = polynomial_series(family, m, n, ring=Ring(p))
+    assert [poly.coefficients for poly in got] == \
+        [tuple(c % p for c in poly.coefficients) for poly in exact]
 
 
 def test_run_sweep_past_66_cells_keeps_exact_states(tmp_path):

@@ -55,9 +55,11 @@ def wide_moduli(draw):
 
 
 # the largest admissible modulus: (2^63 - 1) // fan-in + 1, where the
-# compiled grid tables add up to 5 residues and the cylinder ones 9
+# compiled grid tables add up to 5 residues, the cylinder ones 9 and the
+# king ones 14 (from width 5)
 BOARDS = {"grid 7x10": (GraphSpec("grid", 7, 10), (2**63 - 1) // 5 + 1),
-          "torus 6x12": (GraphSpec("torus", 6, 12), (2**63 - 1) // 9 + 1)}
+          "torus 6x12": (GraphSpec("torus", 6, 12), (2**63 - 1) // 9 + 1),
+          "king 7x10": (GraphSpec("king", 7, 10), (2**63 - 1) // 14 + 1)}
 
 
 @lru_cache(maxsize=None)
