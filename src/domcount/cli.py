@@ -49,7 +49,6 @@ class RunRequest:
     workers: int = 0
     max_states: int = engine.DEFAULT_GUARDS.max_states
     max_memory: int = engine.DEFAULT_GUARDS.max_memory_bytes
-    checkpoint_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.modulus is not None and self.crt:
@@ -59,6 +58,10 @@ class RunRequest:
         for rng in (self.m_range, self.n_range):
             if rng is not None and rng[0] > rng[1]:
                 raise ValueError("empty range")
+            if rng is not None and rng[0] < 1:
+                raise ValueError("ranges start at 1")
+        if self.workers < 0:
+            raise ValueError("--workers must be 0 (all cores) or more")
 
     @property
     def guards(self) -> engine.Guards:
@@ -101,8 +104,6 @@ def _build_parser() -> _Parser:
         else:
             p.add_argument("-m", type=int, required=True)
             p.add_argument("-n", type=int, required=True)
-        p.add_argument("--workers", type=int, default=0,
-                       help="0 = use available parallelism")
         p.add_argument("--max-states", type=int,
                        default=engine.DEFAULT_GUARDS.max_states)
         p.add_argument("--max-mem", type=int,
@@ -111,12 +112,13 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("poly", help="full domination polynomial")
     common(p)
+    p.add_argument("--workers", type=int, default=0,
+                   help="0 = use available parallelism")
     ring = p.add_mutually_exclusive_group()
     ring.add_argument("--mod", type=int, default=None, metavar="P")
     ring.add_argument("--crt", action="store_true")
     p.add_argument("--bits", type=int, default=16)
     p.add_argument("--format", default="text", choices=("text", "json", "csv"))
-    p.add_argument("--checkpoint-dir", default=None)
 
     p = sub.add_parser("count", help="number of dominating sets")
     common(p)
@@ -163,7 +165,6 @@ def _request_from_args(args: argparse.Namespace) -> RunRequest:
         workers=getattr(args, "workers", 0),
         max_states=getattr(args, "max_states", engine.DEFAULT_GUARDS.max_states),
         max_memory=max_memory,
-        checkpoint_dir=getattr(args, "checkpoint_dir", None),
     )
 
 
@@ -192,21 +193,7 @@ def _progress_printer(cells: int) -> Optional[Callable[[int, int], None]]:
 
 def cmd_poly(req: RunRequest) -> int:
     spec = engine.GraphSpec(req.family, req.m, req.n)
-    if req.checkpoint_dir is not None:
-        if req.family == "torus":
-            raise ValueError("checkpointing applies to open-row sweeps, "
-                             "not the torus trace loop")
-        from .signatures import Signature, all_covered, uncovered_count
-        state = engine.run_sweep(spec, all_covered(spec.m), ring=req.ring,
-                                 guards=req.guards,
-                                 checkpoint_dir=req.checkpoint_dir)
-        acc = Polynomial.zero(req.ring)
-        from .rings import poly_add
-        for code, p in state.items():
-            if uncovered_count(Signature(spec.m, code)) == 0:
-                acc = poly_add(acc, p)
-        poly = acc
-    elif req.crt:
+    if req.crt:
         poly, _ = engine.crt_domination_polynomial(
             spec, b=req.bits, workers=req.effective_workers, guards=req.guards)
     else:

@@ -25,10 +25,11 @@ count provably fits, otherwise one lane per residue modulus -- the
 Chinese remainder theorem.  Poly lanes are reduced only when another step
 could pass 2^63, and at every row end.  Growth estimates run the count step
 in float64, renormalized after every row; only the exact unbounded count
-stream (:func:`iter_counts`) counts in Python integers.  The count, minplus
-and mincount sweeps batch their columns: the torus trace runs every dihedral
-start orbit as one column of a single cylinder sweep and sums the diagonal
-entries; the torus polynomial runs one sweep per start orbit.
+stream (:func:`iter_counts`) counts in Python integers.  Every mode runs
+through one series loop, :func:`_series`; the torus is its trace over one
+start per dihedral orbit.  Count, minplus and mincount sweep all starts as
+columns of one sweep; a poly sweep carries one start, and the torus
+polynomial runs its start orbits on a process pool.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .checkpoints import write_row_checkpoint
 from .errors import GuardExceeded
 from .rings import (EXACT, Polynomial, Ring, covering_primes, crt_reconstruct,
                     lane_sum, lane_values, select_moduli)
@@ -360,13 +360,46 @@ def _check_guards(kernel: str, m: int, values: int, guards: Guards) -> int:
     return guards.max_memory_bytes // estimate
 
 
-def _count_lanes(cells: Optional[int]) -> Optional[np.ndarray]:
-    """Count moduli: None for one unreduced lane, which holds every count
-    up to _COUNT_INT64_CELLS cells, else primes with a product above
-    2^(cells+1).  Unbounded sweeps (cells None) count in Python integers."""
-    if cells is None or cells <= _COUNT_INT64_CELLS:
-        return None
-    return np.array(covering_primes(cells + 1, _LANE_PRIME_BITS), dtype=np.int64)
+def _plan_lanes(kernel: str, m: int, cells: Optional[int], mode: str,
+                modulus: Optional[int], guards: Guards,
+                ) -> tuple[Optional[np.ndarray], int]:
+    """Residue moduli, one per lane (None for one unreduced lane), and how
+    many starts one sweep carries.
+
+    Without a modulus, one lane holds every polynomial up to
+    _POLY_INT64_CELLS cells and every count up to _COUNT_INT64_CELLS
+    (unbounded count sweeps, cells None, in Python integers); past that the
+    lanes carry primes with a product above 2^(cells+1).  A step adds up to
+    fan-in residues and a readout block at least two, so a modulus P is
+    admissible while max(fan-in, 2)*(P-1) < 2^63.  A poly sweep carries one
+    start: its step is memory-bound, so batched starts run slower.
+    """
+    int64_cells = _POLY_INT64_CELLS if mode == "poly" else _COUNT_INT64_CELLS
+    if mode == "minplus":
+        primes = ()
+    elif modulus is not None:
+        primes = (modulus,)
+    elif cells is None or cells <= int64_cells:
+        primes = ()
+    else:
+        primes = covering_primes(cells + 1, _LANE_PRIME_BITS)
+    lanes = max(len(primes), 1)
+    if mode == "poly":
+        _check_guards(kernel, m, lanes * (cells + 2), guards)
+        block = 1
+    else:
+        block = _check_guards(kernel, m, (mode != "count") +
+                              (mode != "minplus") * lanes, guards)
+    if not primes:
+        return None, block
+    fan_in = max(2, *(plan.fan_in for plan in _gather_plans(kernel, m)))
+    limit = (2**63 - 1) // fan_in + 1
+    if max(primes) > limit:
+        raise ValueError(
+            f"modulus {max(primes)} is too large: a {kernel} sweep of width "
+            f"{m} adds up to {fan_in} residues, so moduli up to {limit} are "
+            f"admissible")
+    return np.array(primes, dtype=np.int64), block
 
 
 def _sweep(kernel: str, m: int, n: Optional[int], mode: str,
@@ -391,30 +424,90 @@ def _sweep(kernel: str, m: int, n: Optional[int], mode: str,
         yield D, C
 
 
-def _aggregate(mode: str, deg: Optional[np.ndarray], cnt: Optional[np.ndarray],
+def _poly_rows(kernel: str, m: int, n: int, start_index: int,
+               moduli: Optional[np.ndarray]) -> Iterator[np.ndarray]:
+    """Run n poly rows from an indicator at one full-row state, yielding
+    an int64 view shaped (lanes, full-row states, m*row + 1) per row."""
+    size = len(_start_codes(kernel, m))
+    V = np.zeros((1 if moduli is None else len(moduli), size + 1, 2),
+                 dtype=np.int64)
+    V[:, start_index, 1] = 1
+    # top bounds every value of V; a step multiplies it by the fan-in
+    top = 1
+    for _ in range(n):
+        for layers in _poly_layers(kernel, m):
+            if moduli is not None and top * len(layers) >= 2**63:
+                V %= moduli[:, None, None]
+                top = int(moduli.max()) - 1
+            V = _step_poly(V, layers)
+            top *= len(layers)
+        # readouts and torus diagonals take residues
+        if moduli is not None:
+            V %= moduli[:, None, None]
+            top = int(moduli.max()) - 1
+        yield V[:, :-1, 1:]
+
+
+def _block_rows(kernel: str, m: int, n: Optional[int], mode: str,
+                moduli: Optional[np.ndarray], starts: np.ndarray,
+                rows: np.ndarray, cols: np.ndarray) -> Iterator[tuple]:
+    """Sweep one block of starts, yielding the picked (min degrees, values)
+    after each row: degrees (picks,), values counts (picks, lanes) or poly
+    coefficients (picks, lanes, degrees); a part the mode does not carry is
+    None.  Pick k is state rows[k] of start cols[k]."""
+    if mode == "poly":
+        (start,) = starts
+        for V in _poly_rows(kernel, m, n, start, moduli):
+            yield None, V.swapaxes(0, 1)[rows]
+        return
+    for D, C in _sweep(kernel, m, n, mode, starts, moduli):
+        yield (None if D is None else D[rows, cols],
+               None if C is None else C[rows, cols])
+
+
+def _joined(parts: list) -> list[tuple]:
+    """Per row, the picks of several block runs joined in order."""
+    return [tuple(None if part[0] is None else np.concatenate(part)
+                  for part in zip(*row)) for row in zip(*parts)]
+
+
+def _run_blocks(job) -> list[tuple]:
+    """One chunk of blocks, run in turn: the unit of work of a pool worker."""
+    kernel, m, n, mode, moduli, blocks = job
+    return _joined([list(_block_rows(kernel, m, n, mode, moduli, *block))
+                    for block in blocks])
+
+
+def _aggregate(mode: str, deg: Optional[np.ndarray], vals: Optional[np.ndarray],
                moduli: Optional[np.ndarray]):
-    """Total, minimum degree, or (minimum degree, its count) over picked
-    entries: degrees shaped (picks,), counts (picks, lanes)."""
+    """Coefficients, total, minimum degree, or (minimum degree, its count)
+    over picked entries, shaped as :func:`_block_rows` yields them."""
+    if mode == "poly":
+        return lane_values(lane_sum(vals.swapaxes(0, 1), moduli), moduli)
     if mode == "minplus":
         return int(deg.min())
     if mode == "mincount":
         g = int(deg.min())
-        cnt = cnt[deg == g]
-    total = lane_values(lane_sum(cnt.T[:, :, None], moduli), moduli)[0]
+        vals = vals[deg == g]
+    total = lane_values(lane_sum(vals.T[:, :, None], moduli), moduli)[0]
     return total if mode == "count" else (g, total)
 
 
-def _semiring_series(family: str, m: int, n: Optional[int], mode: str,
-                     guards: Guards) -> Iterator:
-    """Per-row aggregates for n = 1..n (unbounded for None).
+def _series(family: str, m: int, n: Optional[int], mode: str, guards: Guards,
+            modulus: Optional[int] = None, workers: int = 1,
+            progress: Optional[Callable[[int, int], None]] = None) -> Iterator:
+    """Per-row readouts for n = 1..n (unbounded for None): coefficient
+    lists in poly mode, else what :func:`_aggregate` returns.
 
     Open boards start from the all-covered row and read every state without
-    an uncovered cell.  The torus runs one column per dihedral orbit
+    an uncovered cell.  The torus runs one start per dihedral orbit
     representative and reads each start's diagonal entry once per orbit
     member: rotating or reflecting a start signature permutes rows and
     columns of the transfer operator alike, so diagonal entries are constant
-    on orbits.  Starts are split into blocks only when the memory guard
-    requires it.
+    on orbits.  Count, minplus and mincount sweep every start as a column of
+    one sweep, split into blocks only when the memory guard requires it; a
+    poly block is one start.  With several blocks and workers > 1, each of
+    up to `workers` processes runs one chunk of blocks.
     """
     kernel = _kernel_for(family)
     if family == "torus":
@@ -426,81 +519,29 @@ def _semiring_series(family: str, m: int, n: Optional[int], mode: str,
         starts = np.array([_start_index(kernel, m, all_covered(m).code)])
         pick_rows = np.flatnonzero(_no_uncovered_mask(kernel, m))
         pick_cols = np.zeros_like(pick_rows)
-    moduli = None
-    if mode != "minplus":
-        moduli = _count_lanes(None if n is None else m * n)
-    counts = 0 if mode == "minplus" else 1 if moduli is None else len(moduli)
-    block = _check_guards(kernel, m, (mode != "count") + counts, guards)
-
-    def block_rows(b0):
+    moduli, block = _plan_lanes(kernel, m, None if n is None else m * n, mode,
+                                modulus, guards)
+    blocks = []
+    for b0 in range(0, len(starts), block):
         here = (pick_cols >= b0) & (pick_cols < b0 + block)
-        rows, cols = pick_rows[here], pick_cols[here] - b0
-        for D, C in _sweep(kernel, m, n, mode, starts[b0:b0 + block], moduli):
-            yield (None if D is None else D[rows, cols],
-                   None if C is None else C[rows, cols])
-
-    if block >= len(starts):
-        picked = block_rows(0)
+        blocks.append((starts[b0:b0 + block], pick_rows[here], pick_cols[here] - b0))
+    if len(blocks) == 1:
+        picked = _block_rows(kernel, m, n, mode, moduli, *blocks[0])
     else:
-        per_block = [list(block_rows(b0)) for b0 in range(0, len(starts), block)]
-        picked = ([None if parts[0] is None else np.concatenate(parts)
-                   for parts in zip(*row)] for row in zip(*per_block))
-    for deg, cnt in picked:
-        yield _aggregate(mode, deg, cnt, moduli)
-
-
-# ------------------------------------------------------------- poly lanes
-
-def _poly_lanes(kernel: str, m: int, cells: int, modulus: Optional[int],
-                guards: Guards) -> Optional[np.ndarray]:
-    """One residue modulus per lane, or None for one unreduced lane.
-
-    Exact runs past _POLY_INT64_CELLS carry primes with a product above
-    2^(cells+1).  A step adds up to fan-in residues and a readout block at
-    least two, so a modulus P is admissible while max(fan-in, 2)*(P-1) < 2^63.
-    """
-    primes = ((modulus,) if modulus is not None else
-              covering_primes(cells + 1, _LANE_PRIME_BITS)
-              if cells > _POLY_INT64_CELLS else ())
-    _check_guards(kernel, m, max(len(primes), 1) * (cells + 2), guards)
-    if not primes:
-        return None
-    fan_in = max(2, *(plan.fan_in for plan in _gather_plans(kernel, m)))
-    limit = (2**63 - 1) // fan_in + 1
-    if max(primes) > limit:
-        raise ValueError(
-            f"modulus {max(primes)} is too large: a {kernel} sweep of width "
-            f"{m} adds up to {fan_in} residues, so moduli up to {limit} are "
-            f"admissible")
-    return np.array(primes, dtype=np.int64)
-
-
-def _poly_rows(kernel: str, m: int, n: int, start_index: int,
-               moduli: Optional[np.ndarray],
-               progress: Optional[Callable[[int, int], None]] = None,
-               ) -> Iterator[tuple[int, np.ndarray]]:
-    """Run n poly rows from an indicator at one full-row state, yielding
-    (row, int64 view shaped (lanes, full-row states, m*row + 1))."""
-    size = len(_start_codes(kernel, m))
-    V = np.zeros((1 if moduli is None else len(moduli), size + 1, 2),
-                 dtype=np.int64)
-    V[:, start_index, 1] = 1
-    # top bounds every value of V; a step multiplies it by the fan-in
-    top = 1
-    for r in range(1, n + 1):
-        for layers in _poly_layers(kernel, m):
-            if moduli is not None and top * len(layers) >= 2**63:
-                V %= moduli[:, None, None]
-                top = int(moduli.max()) - 1
-            V = _step_poly(V, layers)
-            top *= len(layers)
-        # readouts, checkpoints and torus diagonals take residues
-        if moduli is not None:
-            V %= moduli[:, None, None]
-            top = int(moduli.max()) - 1
+        chunks = min(max(workers, 1), len(blocks))
+        jobs = [(kernel, m, n, mode, moduli, blocks[i::chunks])
+                for i in range(chunks)]
+        if chunks > 1:
+            # imported here: it loads multiprocessing, which serial runs skip
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(max_workers=chunks) as pool:
+                picked = _joined(list(pool.map(_run_blocks, jobs)))
+        else:
+            picked = _run_blocks(jobs[0])
+    for r, (deg, vals) in enumerate(picked, 1):
         if progress is not None:
             progress(r, n)
-        yield r, V[:, :-1, 1:]
+        yield _aggregate(mode, deg, vals, moduli)
 
 
 def _start_index(kernel: str, m: int, code: int) -> int:
@@ -516,8 +557,7 @@ def _start_index(kernel: str, m: int, code: int) -> int:
 
 def run_sweep(spec: GraphSpec, start_signature: Signature,
               rows: Optional[int] = None, ring: Ring = EXACT,
-              guards: Guards = DEFAULT_GUARDS,
-              checkpoint_dir: Optional[str] = None) -> dict[int, Polynomial]:
+              guards: Guards = DEFAULT_GUARDS) -> dict[int, Polynomial]:
     """Propagate an indicator at `start_signature` through `rows` rows.
 
     Returns the full configuration map {signature code: polynomial}, one
@@ -538,18 +578,15 @@ def run_sweep(spec: GraphSpec, start_signature: Signature,
                          f"{'cyclic-' if cyclic else ''}valid")
     kernel = _kernel_for(spec.family)
     idx = _start_index(kernel, spec.m, start_signature.code)
-    moduli = _poly_lanes(kernel, spec.m, spec.m * rows, ring.modulus, guards)
-    dom = _start_codes(kernel, spec.m)
-    for r, V in _poly_rows(kernel, spec.m, rows, idx, moduli):
-        if checkpoint_dir is not None or r == rows:
-            flat = lane_values(V.reshape(len(V), -1), moduli)
-            k = V.shape[2]
-            states = [flat[i:i + k] for i in range(0, len(flat), k)]
-        if checkpoint_dir is not None:
-            write_row_checkpoint(checkpoint_dir, spec, r, ring, dom, states,
-                                 spec.m * rows + 1)
+    moduli, _ = _plan_lanes(kernel, spec.m, spec.m * rows, "poly",
+                            ring.modulus, guards)
+    for V in _poly_rows(kernel, spec.m, rows, idx, moduli):
+        pass
+    flat = lane_values(V.reshape(len(V), -1), moduli)
+    k = V.shape[2]
+    states = [flat[i:i + k] for i in range(0, len(flat), k)]
     result: dict[int, Polynomial] = {}
-    for code, coeffs in zip(dom, states):
+    for code, coeffs in zip(_start_codes(kernel, spec.m), states):
         if any(coeffs):
             sig_code = int(code) // 3 if kernel == "king" else int(code)
             result[sig_code] = Polynomial.from_coefficients(coeffs, ring).trimmed()
@@ -559,19 +596,12 @@ def run_sweep(spec: GraphSpec, start_signature: Signature,
 def polynomial_series(family: str, m: int, n_max: int, ring: Ring = EXACT,
                       guards: Guards = DEFAULT_GUARDS,
                       progress: Optional[Callable[[int, int], None]] = None,
-                      ) -> list[Polynomial]:
-    """Domination polynomials of family m x n for every n = 1..n_max."""
-    if family == "torus":
-        return torus_polynomial_series(m, n_max, ring=ring, guards=guards)
-    kernel = _kernel_for(family)
-    idx = _start_index(kernel, m, all_covered(m).code)
-    mask = _no_uncovered_mask(kernel, m)
-    moduli = _poly_lanes(kernel, m, m * n_max, ring.modulus, guards)
-    out = []
-    for _, V in _poly_rows(kernel, m, n_max, idx, moduli, progress):
-        coeffs = lane_values(lane_sum(V[:, mask], moduli), moduli)
-        out.append(Polynomial.from_coefficients(coeffs, ring).trimmed())
-    return out
+                      workers: int = 1) -> list[Polynomial]:
+    """Domination polynomials of family m x n for every n = 1..n_max; the
+    torus start orbits run on up to `workers` processes."""
+    return [Polynomial.from_coefficients(coeffs, ring).trimmed()
+            for coeffs in _series(family, m, n_max, "poly", guards,
+                                  ring.modulus, workers, progress)]
 
 
 def _oriented(spec: GraphSpec) -> GraphSpec:
@@ -610,7 +640,7 @@ def domination_polynomial(spec: GraphSpec, ring: Ring = EXACT,
 def count_series(family: str, m: int, n_max: int,
                  guards: Guards = DEFAULT_GUARDS) -> list[int]:
     """Total number of dominating sets of m x n for n = 1..n_max (exact)."""
-    return list(_semiring_series(family, m, n_max, "count", guards))
+    return list(_series(family, m, n_max, "count", guards))
 
 
 def iter_counts(family: str, m: int,
@@ -618,7 +648,7 @@ def iter_counts(family: str, m: int,
     """Stream exact totals for n = 1, 2, 3, ... (non-torus families)."""
     if family == "torus":
         raise ValueError("torus totals equal per-n trace sums; use count_series")
-    yield from _semiring_series(family, m, None, "count", guards)
+    yield from _series(family, m, None, "count", guards)
 
 
 def iter_ratios(family: str, m: int,
@@ -650,13 +680,13 @@ def iter_ratios(family: str, m: int,
 def gamma_series(family: str, m: int, n_max: int,
                  guards: Guards = DEFAULT_GUARDS) -> list[int]:
     """Domination numbers of family m x n for n = 1..n_max."""
-    return list(_semiring_series(family, m, n_max, "minplus", guards))
+    return list(_series(family, m, n_max, "minplus", guards))
 
 
 def mincount_series(family: str, m: int, n_max: int,
                     guards: Guards = DEFAULT_GUARDS) -> list[tuple[int, int]]:
     """(gamma, number of minimum dominating sets) for n = 1..n_max."""
-    return list(_semiring_series(family, m, n_max, "mincount", guards))
+    return list(_series(family, m, n_max, "mincount", guards))
 
 
 def count_dominating(spec: GraphSpec, guards: Guards = DEFAULT_GUARDS) -> int:
@@ -667,63 +697,14 @@ def count_dominating(spec: GraphSpec, guards: Guards = DEFAULT_GUARDS) -> int:
 
 # ------------------------------------------------------------------ torus
 
-def _torus_series(m: int, n_max: int, moduli: Optional[np.ndarray],
-                  workers: int, orbit_grouping: bool) -> list[np.ndarray]:
-    """Torus polynomial diagonals for every n = 1..n_max: per n, every
-    start's diagonal lanes once per orbit member, (lanes, starts, degrees).
-
-    Each start runs its own poly sweep; grouping reads one representative
-    per dihedral orbit (see :func:`_semiring_series`).
-    """
-    if orbit_grouping:
-        starts = dihedral_orbits(m)
-    else:
-        starts = [(int(c), 1) for c in signature_codes(m, cyclic=True)]
-    workers = max(workers, 1)
-    chunks = [(m, n_max, moduli, starts[i::workers]) for i in range(workers)
-              if starts[i::workers]]
-    if len(chunks) > 1:
-        # imported here: it loads multiprocessing, which serial runs skip
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            partials = list(pool.map(_torus_chunk_worker, chunks))
-    else:
-        partials = [_torus_chunk_worker(chunk) for chunk in chunks]
-    return [np.concatenate(row, axis=1) for row in zip(*partials)]
-
-
-def _torus_chunk_worker(args) -> list[np.ndarray]:
-    m, n_max, moduli, chunk = args
-    rows: list[list[np.ndarray]] = [[] for _ in range(n_max)]
-    for code, weight in chunk:
-        idx = _start_index("cylinder", m, code)
-        for r, V in _poly_rows("cylinder", m, n_max, idx, moduli):
-            rows[r - 1].append(np.repeat(V[:, idx:idx + 1], weight, axis=1))
-    return [np.concatenate(row, axis=1) for row in rows]
-
-
-def torus_polynomial_series(m: int, n_max: int, ring: Ring = EXACT,
-                            guards: Guards = DEFAULT_GUARDS, workers: int = 1,
-                            orbit_grouping: bool = True) -> list[Polynomial]:
-    """Torus domination polynomials for every n = 1..n_max."""
-    moduli = _poly_lanes("cylinder", m, m * n_max, ring.modulus, guards)
-    out = []
-    for row in _torus_series(m, n_max, moduli, workers, orbit_grouping):
-        acc = lane_sum(row, moduli)
-        out.append(Polynomial.from_coefficients(
-            lane_values(acc, moduli), ring).trimmed())
-    return out
-
-
 def torus_polynomial(m: int, n: int, ring: Ring = EXACT,
                      guards: Guards = DEFAULT_GUARDS, workers: int = 1,
-                     orbit_grouping: bool = True) -> Polynomial:
+                     ) -> Polynomial:
     """Domination polynomial of the m x n torus (trace over cyclic starts)."""
     if m > n:
         m, n = n, m  # transpose symmetry; the trace loop scales with m
-    return torus_polynomial_series(m, n, ring=ring, guards=guards,
-                                   workers=workers,
-                                   orbit_grouping=orbit_grouping)[-1]
+    return polynomial_series("torus", m, n, ring=ring, guards=guards,
+                             workers=workers)[-1]
 
 
 # ---------------------------------------------------------------- multi-mod

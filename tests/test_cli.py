@@ -8,10 +8,10 @@ import pytest
 
 import domcount
 from domcount import cli
-from domcount.checkpoints import load_checkpoint
-from domcount.engine import GraphSpec, domination_polynomial
+from domcount.engine import GraphSpec, domination_polynomial, run_sweep
 from domcount.errors import VerificationError
-from domcount.rings import Ring
+from domcount.rings import Polynomial, Ring
+from domcount.signatures import all_covered
 
 
 def run(argv, capsys):
@@ -63,45 +63,21 @@ def test_poly_crt_equals_exact(capsys):
     assert crt_out == plain_out
 
 
-def test_poly_checkpoint_dir(tmp_path, capsys):
-    args = ["poly", "--family", "grid", "-m", "2", "-n", "3"]
-    code, plain_out, _ = run(args, capsys)
-    code2, out, _ = run(args + ["--checkpoint-dir", str(tmp_path)], capsys)
-    assert (code, code2) == (0, 0)
-    assert out == plain_out
-    assert sorted(f.name for f in tmp_path.glob("*.chk")) == \
-        ["row_0001.chk", "row_0002.chk", "row_0003.chk"]
-
-
-# no unreduced value may reach a checkpoint: every `--mod P` row file is
-# the exact run's file with each coefficient reduced mod P
+# a row checkpoint is the state map after that row, and no unreduced value
+# may reach one: after every row, the `--mod P` map is the exact map with
+# each coefficient reduced mod P
 @pytest.mark.parametrize("modulus", [7, 2147483647, 144115188075855859])
 @pytest.mark.parametrize("family, m, n", [("grid", 3, 23), ("king", 4, 6)])
-def test_mod_checkpoints_are_the_reduced_exact_checkpoints(
-        tmp_path, capsys, family, m, n, modulus):
-    args = ["poly", "--family", family, "-m", str(m), "-n", str(n),
-            "--checkpoint-dir"]
-    assert run(args + [str(tmp_path / "exact")], capsys)[0] == 0
-    assert run(args + [str(tmp_path / "mod"), "--mod", str(modulus)],
-               capsys)[0] == 0
-    names = [f"row_{r:04d}.chk" for r in range(1, n + 1)]
-    for d in ("exact", "mod"):
-        assert sorted(f.name for f in (tmp_path / d).iterdir()) == names
-    for name in names:
-        header, items = load_checkpoint(tmp_path / "exact" / name)
-        mod_header, mod_items = load_checkpoint(tmp_path / "mod" / name)
-        assert mod_header == dict(header, ring=f"mod {modulus}")
-        reduced = [(code, tuple(c % modulus for c in coeffs))
-                   for code, coeffs in items]
-        assert mod_items == [item for item in reduced if any(item[1])]
-
-
-def test_torus_checkpoint_is_an_error(tmp_path, capsys):
-    code, out, err = run(["poly", "--family", "torus", "-m", "2", "-n", "2",
-                          "--checkpoint-dir", str(tmp_path)], capsys)
-    assert code == 4
-    assert out == ""
-    assert "error" in err
+def test_mod_checkpoints_are_the_reduced_exact_checkpoints(family, m, n, modulus):
+    ring = Ring(modulus)
+    for rows in range(1, n + 1):
+        spec = GraphSpec(family, m, rows)
+        exact = run_sweep(spec, all_covered(m))
+        reduced = {code: Polynomial.from_coefficients(poly.coefficients,
+                                                      ring).trimmed()
+                   for code, poly in exact.items()}
+        assert run_sweep(spec, all_covered(m), ring=ring) == \
+            {code: poly for code, poly in reduced.items() if not poly.is_zero()}
 
 
 def test_count(capsys):
@@ -243,6 +219,10 @@ def test_argument_errors_exit_4(capsys):
         [],
         ["poly", "--family", "moebius", "-m", "2", "-n", "2"],
         ["poly", "--family", "grid", "-m", "2", "-n", "2", "--mod", "7", "--crt"],
+        ["count", "--family", "grid", "-m", "3", "-n", "3", "--workers", "2"],
+        ["table", "total", "--family", "grid", "--workers", "2"],
+        ["poly", "--family", "grid", "-m", "2", "-n", "3", "--checkpoint-dir",
+         "rows"],
     ):
         with pytest.raises(SystemExit) as info:
             cli.main(argv)
@@ -257,6 +237,14 @@ def test_bad_values_exit_4(capsys):
          "--workers", "1"],
         ["table", "ngamma", "--family", "grid", "--m-range", "two:3"],
         ["table", "ngamma", "--family", "grid", "--m-range", "5:3"],
+        ["table", "total", "--family", "cylinder", "--m-range", "2",
+         "--n-range", "0"],
+        ["table", "gamma", "--family", "grid", "--m-range", "0:5",
+         "--n-range", "1:2"],
+        ["table", "gamma", "--family", "grid", "--m-range=-1:2"],
+        ["poly", "--family", "torus", "-m", "3", "-n", "3", "--workers", "-1"],
+        ["growth", "--family", "grid", "--m-range", "3:5", "--digits", "8",
+         "--workers", "-2"],
     ):
         code, _, err = run(argv, capsys)
         assert code == 4

@@ -19,9 +19,7 @@ from domcount.engine import (
     polynomial_series,
     run_sweep,
     torus_polynomial,
-    torus_polynomial_series,
 )
-from domcount.checkpoints import load_checkpoint, save_checkpoint
 from domcount.errors import GuardExceeded
 from domcount.oracle import brute_force_polynomial
 from domcount.rings import (EXACT, Polynomial, Ring, eval_at_one,
@@ -129,10 +127,7 @@ def test_known_counts():
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_series_matches_the_oracle_prefix(family):
-    if family == "torus":
-        series = torus_polynomial_series(3, 4)
-    else:
-        series = polynomial_series(family, 3, 4)
+    series = polynomial_series(family, 3, 4)
     for n, poly in enumerate(series, start=1):
         assert poly == brute_force_polynomial(GraphSpec(family, 3, n))
 
@@ -174,19 +169,31 @@ def test_mod_p_run_equals_reduced_exact_run(spec):
     assert residue.coefficients == tuple(c % p for c in exact.coefficients)
 
 
+@pytest.mark.parametrize("m, n", [(1, 7), (2, 6), (3, 5), (4, 4)])
+def test_pooled_torus_polynomial_matches_the_oracle(m, n):
+    # every width has several start orbits (3 at m = 1, 5 at m = 2), so
+    # each board runs on the two-process pool
+    assert len(dihedral_orbits(m)) > 1
+    spec = GraphSpec("torus", m, n)
+    assert domination_polynomial(spec, workers=2) == brute_force_polynomial(spec)
+
+
+def test_pooled_torus_series_past_66_cells():
+    # 70 cells: two prime lanes, recombined after the pooled readout
+    assert polynomial_series("torus", 5, 14, workers=2) == \
+        polynomial_series("torus", 5, 14, workers=1)
+
+
 def test_torus_scheduling_does_not_change_the_result():
     base = torus_polynomial(4, 5)
     assert torus_polynomial(4, 5, workers=2) == base
-    assert torus_polynomial(4, 5, orbit_grouping=False) == base
+    assert brute_force_polynomial(GraphSpec("torus", 4, 5)) == base
     assert torus_polynomial(5, 4) == base
 
 
 def test_stat_series_agree_with_the_full_polynomial():
     for family in FAMILIES:
-        if family == "torus":
-            polys = torus_polynomial_series(3, 4)
-        else:
-            polys = polynomial_series(family, 3, 4)
+        polys = polynomial_series(family, 3, 4)
         gammas = gamma_series(family, 3, 4)
         mincounts = mincount_series(family, 3, 4)
         totals = count_series(family, 3, 4)
@@ -254,31 +261,6 @@ def test_crt_respects_the_bit_width():
     poly, moduli = crt_domination_polynomial(spec, b=11)
     assert poly == domination_polynomial(spec)
     assert all(p < 1 << 11 for p in moduli.primes)
-
-
-def test_checkpoints_record_every_row(tmp_path):
-    spec = GraphSpec("grid", 3, 4)
-    direct = run_sweep(spec, all_covered(3))
-    checkpointed = run_sweep(spec, all_covered(3), checkpoint_dir=tmp_path)
-    assert checkpointed == direct
-    files = sorted(f.name for f in tmp_path.glob("*.chk"))
-    assert files == [f"row_{r:04d}.chk" for r in range(1, 5)]
-    header, items = load_checkpoint(tmp_path / "row_0004.chk")
-    assert header == {"version": 1, "family": "grid", "m": 3, "n": 4,
-                      "row": 4, "ring": "exact"}
-    rebuilt = {code: Polynomial.from_coefficients(coeffs).trimmed()
-               for code, coeffs in items}
-    assert rebuilt == direct
-
-
-def test_checkpoint_files_round_trip_big_coefficients(tmp_path):
-    header = {"version": 1, "label": "scratch"}
-    items = [(5, (0, 1, 12345678901234567890123456789)), (9, (3,))]
-    path = tmp_path / "snap.chk"
-    save_checkpoint(path, header, items)
-    got_header, got_items = load_checkpoint(path)
-    assert got_header == header
-    assert got_items == items
 
 
 @pytest.fixture(scope="module")
@@ -364,9 +346,9 @@ def test_lazy_reduction_matches_the_reduced_exact_series(family, m, n, modulus):
         [tuple(c % p for c in poly.coefficients) for poly in exact]
 
 
-def test_run_sweep_past_66_cells_keeps_exact_states(tmp_path):
+def test_run_sweep_past_66_cells_keeps_exact_states():
     spec = GraphSpec("grid", 3, 23)
-    exact = run_sweep(spec, all_covered(3), checkpoint_dir=tmp_path)
+    exact = run_sweep(spec, all_covered(3))
     # independent 16-bit sweeps agree with every state modulo each prime
     for p in select_moduli(spec.cells + 1, 16).primes:
         reduced = {code: Polynomial.from_coefficients(poly.coefficients,
@@ -374,13 +356,6 @@ def test_run_sweep_past_66_cells_keeps_exact_states(tmp_path):
                    for code, poly in exact.items()}
         assert run_sweep(spec, all_covered(3), ring=Ring(p)) == \
             {code: poly for code, poly in reduced.items() if not poly.is_zero()}
-    header, items = load_checkpoint(tmp_path / "row_0023.chk")
-    assert header == {"version": 1, "family": "grid", "m": 3, "n": 23,
-                      "row": 23, "ring": "exact"}
-    assert {code: Polynomial.from_coefficients(c).trimmed()
-            for code, c in items} == exact
-    _, first = load_checkpoint(tmp_path / "row_0001.chk")
-    assert first and all(len(c) == spec.cells + 1 for _, c in first)
 
 
 def test_progress_reports_once_per_row():
