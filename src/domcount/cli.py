@@ -62,6 +62,10 @@ class RunRequest:
                 raise ValueError("ranges start at 1")
         if self.workers < 0:
             raise ValueError("--workers must be 0 (all cores) or more")
+        if self.max_states < 1:
+            raise ValueError("--max-states must be at least 1")
+        if self.max_memory < 1:
+            raise ValueError("--max-mem and DOMCOUNT_MAX_MEM must be at least 1")
 
     @property
     def guards(self) -> engine.Guards:
@@ -252,6 +256,8 @@ def cmd_growth(req: RunRequest, digits: int, n_cap: int) -> int:
     import mpmath
 
     from . import analysis  # mpmath loads only for growth
+    if n_cap < 1:
+        raise ValueError("--n-cap must be at least 1")
     m_lo, m_hi = req.m_range
     est = analysis.estimate_growth(req.family, m_lo, m_hi,
                                    precision_digits=digits, n_cap=n_cap,
@@ -351,6 +357,8 @@ def cmd_oeis(seq_id: str, limit: int) -> int:
     if entry is None:
         raise ValueError(f"unknown sequence id {seq_id!r}; known: "
                          + ", ".join(sorted(OEIS_REGISTRY)))
+    if limit < 1:
+        raise ValueError("--limit must be at least 1")
     offset, gen, _ = entry
     values = gen(limit)
     for i, v in enumerate(values, start=offset):

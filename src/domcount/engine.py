@@ -19,17 +19,18 @@ Evaluation modes:
 * ``mincount``: lowest degree and the number of sets attaining it.
 
 The poly step reads the occupied move one degree shifted, over the live
-degrees only.  Values are int64 lanes: one unreduced lane while every
-count provably fits, otherwise one lane per residue modulus -- the
-``--mod`` prime, or for exact results primes below 2^59 recombined by the
-Chinese remainder theorem.  Poly lanes are reduced only when another step
-could pass 2^63, and at every row end.  Growth estimates run the count step
-in float64, renormalized after every row; only the exact unbounded count
-stream (:func:`iter_counts`) counts in Python integers.  Every mode runs
-through one series loop, :func:`_series`; the torus is its trace over one
-start per dihedral orbit.  Count, minplus and mincount sweep all starts as
-columns of one sweep; a poly sweep carries one start, and the torus
-polynomial runs its start orbits on a process pool.
+degrees only.  Values are int64 lanes.  An exact sweep carries an int64 lane
+that is never reduced and so holds every value modulo 2^64 -- alone while
+every value provably fits, otherwise beside lanes of primes below 2^59 that
+cover the rest, recombined by the Chinese remainder theorem; ``--mod`` runs
+one lane of its prime.  Prime lanes are reduced only when another step could
+pass 2^63, and at every row end.  Growth estimates run the count step in
+float64, renormalized after every row; only the exact unbounded count stream
+(:func:`iter_counts`) counts in Python integers.  Every mode runs through
+one series loop, :func:`_series`; the torus is its trace over one start per
+dihedral orbit.  Count, minplus and mincount sweep all starts as columns of
+one sweep; a poly sweep carries one start, and the torus polynomial runs its
+start orbits on a process pool.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import numpy as np
 
 from .errors import GuardExceeded
 from .rings import (EXACT, Polynomial, Ring, covering_primes, crt_reconstruct,
-                    lane_sum, lane_values, select_moduli)
+                    lane_sum, lane_values, prime_lanes, select_moduli)
 from .signatures import (
     MAX_WIDTH,
     Signature,
@@ -56,7 +57,7 @@ from .signatures import (
 
 FAMILIES = ("grid", "cylinder", "torus", "king")
 
-# Exact int64 is safe as long as every intermediate stays below 2^63.  Each
+# One int64 lane is exact as long as every value stays below 2^63.  Each
 # (state, degree) cell counts distinct vertex subsets with that many occupied
 # cells, so it is bounded by C(cells, k); C(66, 33) < 2^63 < C(67, 33).  In
 # count mode a cell is bounded by 2^cells, and the final readout sums to the
@@ -309,14 +310,13 @@ def _step_poly(V: np.ndarray, layers: tuple) -> np.ndarray:
     return out
 
 
-def _step(D: Optional[np.ndarray], C: Optional[np.ndarray], plan: _GatherPlan,
-          moduli: Optional[np.ndarray]):
+def _step(D: Optional[np.ndarray], C: Optional[np.ndarray], plan: _GatherPlan):
     """One column of a one-value semiring on min degrees D (states + 1,
     starts) and counts C (states + 1, starts, lanes), either one absent.
 
     Counts add over a destination's gathered rows; with degrees, only the
     rows at the destination's minimum degree count.  The occupied move adds
-    one to the degree.
+    one to the degree.  Counts are not reduced; see :func:`_reduce_lanes`.
     """
     groups = len(plan.starts) - 1
     outD = None if D is None else np.empty((groups, *D.shape[1:]), D.dtype)
@@ -327,17 +327,34 @@ def _step(D: Optional[np.ndarray], C: Optional[np.ndarray], plan: _GatherPlan,
         src = plan.src[r0:r1]
         at = plan.starts[g0:g1] - r0
         if D is not None:
-            deg = D[src] + (1 - plan.plain[r0:r1])[:, None]
+            deg = np.take(D, src, axis=0) + (1 - plan.plain[r0:r1])[:, None]
             np.minimum.reduceat(deg, at, axis=0, out=outD[g0:g1])
         if C is not None:
-            cnt = C[src]
+            cnt = np.take(C, src, axis=0)
             if D is not None:
                 sizes = np.diff(plan.starts[g0:g1 + 1])
                 cnt *= (deg == np.repeat(outD[g0:g1], sizes, axis=0))[..., None]
             np.add.reduceat(cnt, at, axis=0, out=outC[g0:g1])
-    if moduli is not None:
-        outC %= moduli
     return outD, outC
+
+
+def _reduce_lanes(lanes: np.ndarray, primes: Optional[np.ndarray], top: int,
+                  fan_in: Optional[int] = None) -> int:
+    """The lazy reduction rule of every sweep, called before each step.
+
+    Reduces the prime lanes `lanes` in place modulo `primes` (shaped to
+    broadcast against them) when a step that adds up to `fan_in` values
+    could pass 2^63, and always at a row end (fan_in None), since readouts
+    take residues.  `top` bounds every prime-lane value; returns the bound
+    after the step.  Without prime lanes nothing is tracked: the int64 lane
+    is never reduced, and an unbounded sweep would grow `top` forever.
+    """
+    if primes is None:
+        return top
+    if fan_in is None or top * fan_in >= 2**63:
+        lanes %= primes
+        top = int(primes.max()) - 1
+    return top * (fan_in or 1)
 
 
 # ------------------------------------------------------------ sweep driver
@@ -360,46 +377,63 @@ def _check_guards(kernel: str, m: int, values: int, guards: Guards) -> int:
     return guards.max_memory_bytes // estimate
 
 
+@lru_cache(maxsize=None)
+def _lane_primes(bits: int) -> tuple[int, ...]:
+    """Primes whose product is at least 2^bits: as few as primes below 2^59
+    need, taken below the smallest power of two that needs no more, so that
+    lanes go longer between reductions."""
+    if bits < 1:
+        return ()
+    lanes = len(covering_primes(bits, _LANE_PRIME_BITS))
+    width = max(2, -(-bits // lanes))
+    while len(primes := covering_primes(bits, width)) > lanes:
+        width += 1
+    return primes
+
+
 def _plan_lanes(kernel: str, m: int, cells: Optional[int], mode: str,
                 modulus: Optional[int], guards: Guards,
                 ) -> tuple[Optional[np.ndarray], int]:
-    """Residue moduli, one per lane (None for one unreduced lane), and how
-    many starts one sweep carries.
+    """Residue moduli, one per lane, and how many starts one sweep carries.
 
-    Without a modulus, one lane holds every polynomial up to
-    _POLY_INT64_CELLS cells and every count up to _COUNT_INT64_CELLS
-    (unbounded count sweeps, cells None, in Python integers); past that the
-    lanes carry primes with a product above 2^(cells+1).  A step adds up to
-    fan-in residues and a readout block at least two, so a modulus P is
-    admissible while max(fan-in, 2)*(P-1) < 2^63.  A poly sweep carries one
-    start: its step is memory-bound, so batched starts run slower.
+    An exact sweep of bounded length carries the int64 lane first, modulus
+    0: it is never reduced, and since NumPy's integer arithmetic wraps, it
+    holds every value modulo 2^64.  It is the only lane up to
+    _POLY_INT64_CELLS cells for polynomials and _COUNT_INT64_CELLS for
+    counts; past that, prime lanes from :func:`_lane_primes` cover the rest
+    of 2^(cells+1), which bounds every value.  `modulus` gives one lane of
+    that prime; min-plus and unbounded count sweeps (cells None, in Python
+    integers) carry no moduli (None).  A step adds up to fan-in residues and
+    a readout block at least two, so a prime P is admissible while
+    max(fan-in, 2)*(P-1) < 2^63.  A poly sweep carries one start: its step
+    is memory-bound, so batched starts run slower.
     """
     int64_cells = _POLY_INT64_CELLS if mode == "poly" else _COUNT_INT64_CELLS
-    if mode == "minplus":
-        primes = ()
+    if mode == "minplus" or (modulus is None and cells is None):
+        moduli = ()
     elif modulus is not None:
-        primes = (modulus,)
-    elif cells is None or cells <= int64_cells:
-        primes = ()
+        moduli = (modulus,)
+    elif cells <= int64_cells:
+        moduli = (0,)
     else:
-        primes = covering_primes(cells + 1, _LANE_PRIME_BITS)
-    lanes = max(len(primes), 1)
+        moduli = (0, *_lane_primes(cells + 1 - 64))
+    lanes = max(len(moduli), 1)
     if mode == "poly":
         _check_guards(kernel, m, lanes * (cells + 2), guards)
         block = 1
     else:
         block = _check_guards(kernel, m, (mode != "count") +
                               (mode != "minplus") * lanes, guards)
-    if not primes:
+    if not moduli:
         return None, block
     fan_in = max(2, *(plan.fan_in for plan in _gather_plans(kernel, m)))
     limit = (2**63 - 1) // fan_in + 1
-    if max(primes) > limit:
+    if max(moduli) > limit:
         raise ValueError(
-            f"modulus {max(primes)} is too large: a {kernel} sweep of width "
+            f"modulus {max(moduli)} is too large: a {kernel} sweep of width "
             f"{m} adds up to {fan_in} residues, so moduli up to {limit} are "
             f"admissible")
-    return np.array(primes, dtype=np.int64), block
+    return np.array(moduli, dtype=np.int64), block
 
 
 def _sweep(kernel: str, m: int, n: Optional[int], mode: str,
@@ -418,9 +452,15 @@ def _sweep(kernel: str, m: int, n: Optional[int], mode: str,
                      dtype=object if n is None else np.int64)
         C[starts, cols] = 1
     plans = _gather_plans(kernel, m)
+    wrap, primes = prime_lanes(moduli)
+    top = 1  # bounds every prime-lane count
     for _ in itertools.count(1) if n is None else range(n):
         for plan in plans:
-            D, C = _step(D, C, plan, moduli)
+            if C is not None:
+                top = _reduce_lanes(C[..., wrap:], primes, top, plan.fan_in)
+            D, C = _step(D, C, plan)
+        if C is not None:
+            top = _reduce_lanes(C[..., wrap:], primes, top)
         yield D, C
 
 
@@ -429,22 +469,17 @@ def _poly_rows(kernel: str, m: int, n: int, start_index: int,
     """Run n poly rows from an indicator at one full-row state, yielding
     an int64 view shaped (lanes, full-row states, m*row + 1) per row."""
     size = len(_start_codes(kernel, m))
-    V = np.zeros((1 if moduli is None else len(moduli), size + 1, 2),
-                 dtype=np.int64)
+    V = np.zeros((len(moduli), size + 1, 2), dtype=np.int64)
     V[:, start_index, 1] = 1
-    # top bounds every value of V; a step multiplies it by the fan-in
-    top = 1
+    wrap, primes = prime_lanes(moduli)
+    if primes is not None:
+        primes = primes[:, None, None]
+    top = 1  # bounds every prime-lane value
     for _ in range(n):
         for layers in _poly_layers(kernel, m):
-            if moduli is not None and top * len(layers) >= 2**63:
-                V %= moduli[:, None, None]
-                top = int(moduli.max()) - 1
+            top = _reduce_lanes(V[wrap:], primes, top, len(layers))
             V = _step_poly(V, layers)
-            top *= len(layers)
-        # readouts and torus diagonals take residues
-        if moduli is not None:
-            V %= moduli[:, None, None]
-            top = int(moduli.max()) - 1
+        top = _reduce_lanes(V[wrap:], primes, top)
         yield V[:, :-1, 1:]
 
 
@@ -671,7 +706,7 @@ def iter_ratios(family: str, m: int,
     plans = _gather_plans(kernel, m)
     while True:
         for plan in plans:
-            _, C = _step(None, C, plan, None)
+            _, C = _step(None, C, plan)
         ratio = C[mask].sum()
         C /= ratio
         yield float(ratio)

@@ -207,13 +207,14 @@ def covering_primes(bit_bound: int, b: int) -> tuple[int, ...]:
 
 
 def crt_reconstruct(residue_vectors: Sequence[tuple[int, Sequence[int]]]) -> Polynomial:
-    """Combine per-prime coefficient vectors into the exact polynomial.
+    """Combine per-modulus coefficient vectors into the exact polynomial.
 
-    Each input pair is (prime, coefficients mod that prime); vectors must have
-    equal length and primes must be pairwise distinct.  Every output
-    coefficient is the unique nonnegative representative below the product of
-    the primes.  Combination is an incremental (Garner-style) lift, folded in
-    descending prime order so the result does not depend on input order.
+    Each input pair is (modulus, coefficients mod that modulus); vectors must
+    have equal length and moduli must be pairwise coprime (distinct primes,
+    or 2^64 beside odd primes).  Every output coefficient is the unique
+    nonnegative representative below the product of the moduli.  Combination
+    is an incremental (Garner-style) lift, folded in descending modulus order
+    so the result does not depend on input order.
     """
     if not residue_vectors:
         raise ValueError("need at least one residue vector")
@@ -236,31 +237,51 @@ def crt_reconstruct(residue_vectors: Sequence[tuple[int, Sequence[int]]]) -> Pol
     return Polynomial(EXACT, tuple(combined))
 
 
+def prime_lanes(moduli: Optional[np.ndarray]) -> tuple[int, Optional[np.ndarray]]:
+    """Index of the first prime lane and the prime moduli (None if none).
+
+    Lane moduli are int64 arrays.  Modulus 0 marks the int64 lane, always
+    lane 0: NumPy's integer arithmetic wraps silently, so that lane holds
+    every value modulo 2^64 and is never reduced.
+    """
+    if moduli is None:
+        return 0, None
+    wrap = int(moduli[0] == 0)
+    return wrap, (moduli[wrap:] if len(moduli) > wrap else None)
+
+
 def lane_sum(lanes: np.ndarray, moduli: Optional[np.ndarray]) -> np.ndarray:
     """Sum int64 lanes shaped (lanes, rows, k) over rows.
 
-    With moduli (one per lane, each at most 2^62) the residues are
-    reduced after every block of rows small enough that its sum stays below
-    2^63; without, the lane holds exact values whose sums fit.
+    The int64 lane (modulus 0) sums as it is, exact modulo 2^64.  Prime
+    lanes (each modulus at most 2^62) are reduced after every block of rows
+    small enough that its sum stays below 2^63.  Without moduli the one lane
+    holds exact values (Python integers in object dtype).
     """
-    if moduli is None:
+    wrap, primes = prime_lanes(moduli)
+    if primes is None:
         return lanes.sum(axis=1)
-    block = (2**63 - 1) // (int(moduli.max()) - 1)
+    primes = primes[:, None, None]
+    block = (2**63 - 1) // (int(primes.max()) - 1)
     while lanes.shape[1] > 1:
         k = min(block, lanes.shape[1])
         lanes = np.pad(lanes, ((0, 0), (0, -lanes.shape[1] % k), (0, 0)))
         lanes = lanes.reshape(len(lanes), -1, k, lanes.shape[2]).sum(axis=2)
-        lanes %= moduli[:, None, None]
+        lanes[wrap:] %= primes
     return lanes.sum(axis=1)
 
 
 def lane_values(lanes: np.ndarray, moduli: Optional[np.ndarray]) -> list[int]:
-    """Python ints from int64 lanes shaped (lanes, k): one lane's values as
-    they are, several prime lanes recombined by :func:`crt_reconstruct`."""
-    if moduli is None or len(moduli) == 1:
+    """Python ints from int64 lanes shaped (lanes, k): the int64 lane read
+    modulo 2^64, one lane as it is, several lanes recombined by
+    :func:`crt_reconstruct`."""
+    if moduli is None:
         return lanes[0].tolist()
-    return list(crt_reconstruct([(int(p), lane.tolist())
-                                 for p, lane in zip(moduli, lanes)]).coefficients)
+    residues = [(int(p) or 1 << 64, (lane if p else lane.view(np.uint64)).tolist())
+                for p, lane in zip(moduli, lanes)]
+    if len(residues) == 1:
+        return residues[0][1]
+    return list(crt_reconstruct(residues).coefficients)
 
 
 def residues_of(poly: Polynomial, primes: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:

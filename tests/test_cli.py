@@ -245,10 +245,26 @@ def test_bad_values_exit_4(capsys):
         ["poly", "--family", "torus", "-m", "3", "-n", "3", "--workers", "-1"],
         ["growth", "--family", "grid", "--m-range", "3:5", "--digits", "8",
          "--workers", "-2"],
+        ["poly", "--family", "grid", "-m", "3", "-n", "3", "--max-states", "-5"],
+        ["poly", "--family", "grid", "-m", "3", "-n", "3", "--max-mem", "0"],
+        ["count", "--family", "grid", "-m", "3", "-n", "3", "--max-mem", "-1"],
+        ["growth", "--family", "grid", "--m-range", "3:5", "--n-cap", "-1",
+         "--workers", "1"],
+        ["oeis", "A001333", "--limit", "-3"],
+        ["oeis", "A001333", "--limit", "0"],
     ):
         code, _, err = run(argv, capsys)
         assert code == 4
         assert "error" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_nonpositive_memory_env_exits_4(monkeypatch, capsys, value):
+    monkeypatch.setenv("DOMCOUNT_MAX_MEM", value)
+    code, out, err = run(["count", "--family", "grid", "-m", "3", "-n", "3"],
+                         capsys)
+    assert (code, out) == (4, "")
+    assert "DOMCOUNT_MAX_MEM" in err
 
 
 def test_guard_exits_2(capsys):

@@ -22,8 +22,9 @@ from domcount.engine import (
 )
 from domcount.errors import GuardExceeded
 from domcount.oracle import brute_force_polynomial
-from domcount.rings import (EXACT, Polynomial, Ring, eval_at_one,
-                            is_probable_prime, poly_add, select_moduli)
+from domcount.rings import (EXACT, Polynomial, Ring, covering_primes,
+                            eval_at_one, is_probable_prime, poly_add,
+                            select_moduli)
 from domcount.signatures import Signature, all_covered, dihedral_orbits
 from domcount.transfer import build_transfer_matrix
 
@@ -179,7 +180,8 @@ def test_pooled_torus_polynomial_matches_the_oracle(m, n):
 
 
 def test_pooled_torus_series_past_66_cells():
-    # 70 cells: two prime lanes, recombined after the pooled readout
+    # 70 cells: the int64 lane and one prime lane, recombined after the
+    # pooled readout
     assert polynomial_series("torus", 5, 14, workers=2) == \
         polynomial_series("torus", 5, 14, workers=1)
 
@@ -222,17 +224,18 @@ def test_guards_trip_before_big_allocations():
 
 
 def test_count_lanes_past_62_cells(appendix_poly, grid_totals):
-    # 64 cells: two prime lanes for the counts of the torus 8x8 trace
+    # 64 cells: the int64 lane and one prime lane for the counts of the
+    # torus 8x8 trace
     gamma, count = mincount_series("torus", 8, 8)[-1]
     assert (gamma, count) == (16, 129224)
     assert count_series("torus", 8, 8)[-1] == sum(appendix_poly("torus", 8))
-    # 121 cells: three lanes on an open board
+    # 121 cells: two lanes on an open board
     assert count_series("grid", 11, 11)[-1] == grid_totals[11]
 
 
 @pytest.mark.parametrize("m, n", [(6, 6), (5, 13)])
 def test_torus_start_blocks_do_not_change_the_result(m, n):
-    # 5x13 has 65 cells, so its counts run in two prime lanes
+    # 5x13 has 65 cells, so its counts run in the int64 lane and a prime lane
     whole = (count_series("torus", m, n), gamma_series("torus", m, n),
              mincount_series("torus", m, n))
     rows = max(len(plan.starts) - 1
@@ -269,9 +272,48 @@ def grid_9x9():
 
 
 def test_residue_lanes_give_exact_coefficients_past_int64(grid_9x9, grid_totals):
-    # 81 cells: two prime lanes recombined by CRT
+    # 81 cells: the int64 lane and one prime lane recombined by CRT
     assert max(grid_9x9.coefficients) >= 1 << 63
     assert eval_at_one(grid_9x9) == grid_totals[9]
+
+
+def test_exact_polynomial_past_2_64(grid_totals):
+    # 100 cells: the int64 lane alone holds each coefficient modulo 2^64
+    poly = domination_polynomial(GraphSpec("grid", 10, 10))
+    assert max(poly.coefficients) >= 1 << 64
+    assert eval_at_one(poly) == grid_totals[10]
+
+
+@pytest.mark.parametrize("kernel, m", [("grid", 3), ("cylinder", 8),
+                                       ("king", 8)])
+def test_lane_plan_past_the_one_lane_bound(kernel, m):
+    fan_in = max(2, *(plan.fan_in for plan in engine._gather_plans(kernel, m)))
+    # a polynomial coefficient is at most C(cells, cells // 2), below 2^63
+    # up to 66 cells, so the int64 lane alone holds those
+    one_lane = {"count": 62, "mincount": 62, "poly": 66}
+    for cells in range(63, 401):
+        most = len(covering_primes(cells + 1, 59))  # primes alone
+        for mode, bound in one_lane.items():
+            moduli, _ = engine._plan_lanes(kernel, m, cells, mode, None,
+                                           DEFAULT_GUARDS)
+            assert moduli[0] == 0  # the int64 lane, read modulo 2^64
+            assert len(moduli) <= most
+            if cells <= bound:
+                assert len(moduli) == 1
+                continue
+            primes = moduli[1:].tolist()
+            assert len(set(primes)) == len(primes)
+            product = 1 << 64
+            for p in primes:
+                assert is_probable_prime(p)
+                assert fan_in * (p - 1) < 2**63
+                product *= p
+            assert product >= 1 << (cells + 1)
+    for mode in one_lane:
+        assert engine._plan_lanes(kernel, m, 62, mode, None,
+                                  DEFAULT_GUARDS)[0].tolist() == [0]
+    assert engine._plan_lanes(kernel, m, 400, "minplus", None,
+                              DEFAULT_GUARDS)[0] is None
 
 
 @pytest.mark.parametrize("spec", [GraphSpec("cylinder", 8, 9),

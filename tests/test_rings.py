@@ -1,3 +1,6 @@
+import warnings
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -6,9 +9,12 @@ from domcount.rings import (
     EXACT,
     Polynomial,
     Ring,
+    covering_primes,
     crt_reconstruct,
     eval_at_one,
     is_probable_prime,
+    lane_sum,
+    lane_values,
     poly_add,
     poly_scale_shift_add,
     poly_shift,
@@ -168,3 +174,51 @@ def test_crt_is_order_independent(coeffs, rng):
     shuffled = residues[:]
     rng.shuffle(shuffled)
     assert crt_reconstruct(shuffled) == crt_reconstruct(residues)
+
+
+def _wrapped(values):
+    return [v & (2**64 - 1) for v in values]
+
+
+def test_int64_arithmetic_wraps_modulo_2_64():
+    # the int64 lane of an exact sweep is never reduced: it relies on these
+    # ufuncs wrapping silently, without a warning, once values pass 2^63
+    rng = np.random.default_rng(1)
+    a = rng.integers(2**61, 2**63 - 1, size=(40, 3), dtype=np.int64)
+    b = rng.integers(2**61, 2**63 - 1, size=(40, 3), dtype=np.int64)
+    x, y = a.ravel().tolist(), b.ravel().tolist()
+    at = [0, 7, 8, 30]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        added = np.add(a, b)
+        multiplied = np.multiply(a, b)
+        grouped = np.add.reduceat(a, at, axis=0)
+        total = a.sum()
+    assert _wrapped(added.ravel().tolist()) == _wrapped(map(sum, zip(x, y)))
+    assert _wrapped(multiplied.ravel().tolist()) == \
+        _wrapped(u * v for u, v in zip(x, y))
+    bounds = [*at, len(a)]
+    assert _wrapped(grouped.ravel().tolist()) == _wrapped(
+        sum(row[j] for row in a[lo:hi].tolist())
+        for lo, hi in zip(bounds[:-1], bounds[1:]) for j in range(3))
+    assert _wrapped([int(total)]) == _wrapped([sum(x)])
+
+
+def test_lanes_recombine_the_2_64_lane_with_primes():
+    # sums up to 2^90 over 300 rows: the int64 lane (modulus 0) wraps, and
+    # two primes below 2^14 leave a 2^64 * P1 * P2 > 2^91 cover
+    rng = np.random.default_rng(2)
+    rows = [[int(v) << 40 | int(w) for v, w in zip(
+        rng.integers(0, 2**40, size=5), rng.integers(0, 2**40, size=5))]
+        for _ in range(300)]
+    primes = covering_primes(27, 14)
+    moduli = np.array([0, *primes], dtype=np.int64)
+    lanes = np.array([[[v & (2**64 - 1) for v in row] for row in rows]],
+                     dtype=np.uint64).view(np.int64)
+    lanes = np.concatenate([lanes, [[[v % p for v in row] for row in rows]
+                                    for p in primes]])
+    sums = [sum(col) for col in zip(*rows)]
+    assert max(sums) >= 1 << 64
+    assert lane_values(lane_sum(lanes, moduli), moduli) == sums
+    # alone, the int64 lane reads every value modulo 2^64, never negative
+    assert lane_values(lanes[:1, 0], moduli[:1]) == _wrapped(rows[0])
