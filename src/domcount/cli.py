@@ -388,8 +388,8 @@ def _fixture_poly(data: dict, family: str, n: int) -> Optional[tuple[int, list[i
 
 
 def cmd_verify(max_cells: int) -> int:
-    if max_cells > 24:
-        raise ValueError("--max-cells is capped at 24")
+    if not 1 <= max_cells <= 24:
+        raise ValueError("--max-cells must be in 1..24")
     report = []
     failures = []
 

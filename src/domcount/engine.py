@@ -19,18 +19,19 @@ Evaluation modes:
 * ``mincount``: lowest degree and the number of sets attaining it.
 
 The poly step reads the occupied move one degree shifted, over the live
-degrees only.  Values are int64 lanes.  An exact sweep carries an int64 lane
-that is never reduced and so holds every value modulo 2^64 -- alone while
-every value provably fits, otherwise beside lanes of primes below 2^59 that
-cover the rest, recombined by the Chinese remainder theorem; ``--mod`` runs
-one lane of its prime.  Prime lanes are reduced only when another step could
-pass 2^63, and at every row end.  Growth estimates run the count step in
-float64, renormalized after every row; only the exact unbounded count stream
-(:func:`iter_counts`) counts in Python integers.  Every mode runs through
-one series loop, :func:`_series`; the torus is its trace over one start per
-dihedral orbit.  Count, minplus and mincount sweep all starts as columns of
-one sweep; a poly sweep carries one start, and the torus polynomial runs its
-start orbits on a process pool.
+degrees only.  Values are int64 lanes, the lane axis last in every state
+array.  An exact sweep carries an int64 lane that is never reduced and so
+holds every value modulo 2^64 -- alone while every value provably fits,
+otherwise beside lanes of primes below 2^59 that cover the rest, recombined
+by the Chinese remainder theorem; ``--mod`` runs one lane of its prime.
+Prime lanes are reduced only when another step could pass 2^63, and at every
+row end.  Growth estimates run counts in one float64 lane, renormalized
+after every row; the exact count stream (:func:`iter_counts`) replays
+bounded sweeps of doubling length.  One row loop, :func:`_sweep`, runs every
+mode, and every series goes through :func:`_series`; the torus is its trace
+over one start per dihedral orbit.  Count, minplus and mincount sweep all
+starts as columns of one sweep; a poly sweep carries one start, and the
+torus polynomial runs its start orbits on a process pool.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from functools import lru_cache
 from typing import Callable, Iterator, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import GuardExceeded
 from .rings import (EXACT, Polynomial, Ring, covering_primes, crt_reconstruct,
@@ -284,29 +286,30 @@ def _chunks(plan: _GatherPlan, row_bytes: int) -> list[tuple[int, int]]:
 
 
 def _step_poly(V: np.ndarray, layers: tuple) -> np.ndarray:
-    """One column on (lanes, states + 1, 1 + live degrees); one more out.
+    """One column on (states + 1, 1 + live degrees, lanes); one more degree
+    out.
 
-    Column 0 is zero, so the window starting at a row is the row shifted
-    one degree up (the occupied move) and the window one element later the
-    row itself (the unoccupied move), ending in the next row's zero.  Layer
-    0 of the fan-in layers assigns every destination its first gathered
-    row; each later layer adds one more row to the destinations that have
-    it, and no destination appears twice within a layer.
+    Slot 0 of the degree axis is a zero pad before degree 0, so the window
+    starting at a row is the row shifted one degree up (the occupied move)
+    and the window one slot later the row itself (the unoccupied move),
+    ending in the next row's pad; each window holds every lane.  Layer 0 of the fan-in layers assigns every
+    destination its first gathered row; each later layer adds one more row
+    to the destinations that have it, and no destination appears twice
+    within a layer.
     """
-    lanes, rows, width = V.shape
-    out = np.empty((lanes, len(layers[0][0]), width + 1), dtype=np.int64)
-    out[:, :, 0] = 0
-    windows = [np.ndarray((rows * width - width + 1, width), np.int64,
-                          buffer=V[lane], strides=(8, 8)) for lane in range(lanes)]
-    chunk = max(1, _GATHER_BYTES // (8 * width))
+    rows, width, lanes = V.shape
+    out = np.empty((len(layers[0][0]), width + 1, lanes), dtype=np.int64)
+    out[:, 0] = 0
+    windows = as_strided(V, (rows * width - width + 1, width, lanes),
+                         (8 * lanes, 8 * lanes, 8), writeable=False)
+    chunk = max(1, _GATHER_BYTES // (8 * width * lanes))
     for k, (dst, src, plain) in enumerate(layers):
         for a in range(0, len(src), chunk):
             idx = src[a:a + chunk] * np.int64(width) + plain[a:a + chunk]
-            for lane in range(lanes):
-                if k == 0:
-                    out[lane, a:a + chunk, 1:] = windows[lane][idx]
-                else:
-                    out[lane, dst[a:a + chunk], 1:] += windows[lane][idx]
+            if k == 0:
+                out[a:a + chunk, 1:] = windows[idx]
+            else:
+                out[dst[a:a + chunk], 1:] += windows[idx]
     return out
 
 
@@ -342,12 +345,12 @@ def _reduce_lanes(lanes: np.ndarray, primes: Optional[np.ndarray], top: int,
                   fan_in: Optional[int] = None) -> int:
     """The lazy reduction rule of every sweep, called before each step.
 
-    Reduces the prime lanes `lanes` in place modulo `primes` (shaped to
-    broadcast against them) when a step that adds up to `fan_in` values
-    could pass 2^63, and always at a row end (fan_in None), since readouts
-    take residues.  `top` bounds every prime-lane value; returns the bound
-    after the step.  Without prime lanes nothing is tracked: the int64 lane
-    is never reduced, and an unbounded sweep would grow `top` forever.
+    Reduces the prime lanes `lanes` (the lane axis last) in place modulo
+    `primes` when a step that adds up to `fan_in` values could pass 2^63,
+    and always at a row end (fan_in None), since readouts take residues.
+    `top` bounds every prime-lane value; returns the bound after the step.
+    Without prime lanes nothing is tracked: the int64 lane is never
+    reduced, and an unbounded sweep would grow `top` forever.
     """
     if primes is None:
         return top
@@ -391,25 +394,24 @@ def _lane_primes(bits: int) -> tuple[int, ...]:
     return primes
 
 
-def _plan_lanes(kernel: str, m: int, cells: Optional[int], mode: str,
+def _plan_lanes(kernel: str, m: int, cells: int, mode: str,
                 modulus: Optional[int], guards: Guards,
                 ) -> tuple[Optional[np.ndarray], int]:
     """Residue moduli, one per lane, and how many starts one sweep carries.
 
-    An exact sweep of bounded length carries the int64 lane first, modulus
-    0: it is never reduced, and since NumPy's integer arithmetic wraps, it
-    holds every value modulo 2^64.  It is the only lane up to
-    _POLY_INT64_CELLS cells for polynomials and _COUNT_INT64_CELLS for
-    counts; past that, prime lanes from :func:`_lane_primes` cover the rest
-    of 2^(cells+1), which bounds every value.  `modulus` gives one lane of
-    that prime; min-plus and unbounded count sweeps (cells None, in Python
-    integers) carry no moduli (None).  A step adds up to fan-in residues and
-    a readout block at least two, so a prime P is admissible while
+    An exact sweep carries the int64 lane first, modulus 0: it is never
+    reduced, and since NumPy's integer arithmetic wraps, it holds every
+    value modulo 2^64.  It is the only lane up to _POLY_INT64_CELLS cells
+    for polynomials and _COUNT_INT64_CELLS for counts; past that, prime
+    lanes from :func:`_lane_primes` cover the rest of 2^(cells+1), which
+    bounds every value.  `modulus` gives one lane of that prime; min-plus
+    sweeps carry no moduli (None).  A step adds up to fan-in residues and a
+    readout block at least two, so a prime P is admissible while
     max(fan-in, 2)*(P-1) < 2^63.  A poly sweep carries one start: its step
     is memory-bound, so batched starts run slower.
     """
     int64_cells = _POLY_INT64_CELLS if mode == "poly" else _COUNT_INT64_CELLS
-    if mode == "minplus" or (modulus is None and cells is None):
+    if mode == "minplus":
         moduli = ()
     elif modulus is not None:
         moduli = (modulus,)
@@ -438,63 +440,56 @@ def _plan_lanes(kernel: str, m: int, cells: Optional[int], mode: str,
 
 def _sweep(kernel: str, m: int, n: Optional[int], mode: str,
            starts: np.ndarray, moduli: Optional[np.ndarray]) -> Iterator[tuple]:
-    """Run n rows (unbounded for None) of a one-value semiring from one
-    indicator column per full-row state in `starts`, yielding (min degrees,
-    counts) after each row; a part the mode does not carry is None."""
+    """The row loop of every mode: run n rows (unbounded for None) from one
+    indicator per full-row state in `starts`, yielding (min degrees, values)
+    after each row; a part the mode does not carry is None.
+
+    Min degrees are (states + 1, starts).  Values keep the lane axis last:
+    counts (states + 1, starts, lanes) and poly coefficients (states + 1,
+    starts, degrees, lanes), a poly sweep carrying one start.  Lanes are
+    int64, one per modulus, and prime lanes follow :func:`_reduce_lanes`;
+    counts without moduli are one float64 lane, which the caller may
+    rescale in place between rows.
+    """
     size = len(_start_codes(kernel, m))
     cols = np.arange(len(starts))
+    lanes = 1 if moduli is None else len(moduli)
     D = C = None
     if mode in ("minplus", "mincount"):
         D = np.full((size + 1, len(starts)), _INF, dtype=np.int64)
         D[starts, cols] = 0
     if mode in ("count", "mincount"):
-        C = np.zeros((size + 1, len(starts), 1 if moduli is None else len(moduli)),
-                     dtype=object if n is None else np.int64)
+        C = np.zeros((size + 1, len(starts), lanes),
+                     dtype=np.float64 if moduli is None else np.int64)
         C[starts, cols] = 1
+    if mode == "poly":
+        (start,) = starts
+        C = np.zeros((size + 1, 2, lanes), dtype=np.int64)
+        C[start, 1] = 1
     plans = _gather_plans(kernel, m)
+    steps = _poly_layers(kernel, m) if mode == "poly" else plans
     wrap, primes = prime_lanes(moduli)
-    top = 1  # bounds every prime-lane count
-    for _ in itertools.count(1) if n is None else range(n):
-        for plan in plans:
+    top = 1  # bounds every prime-lane value
+    for _ in itertools.count() if n is None else range(n):
+        for plan, step in zip(plans, steps):
             if C is not None:
                 top = _reduce_lanes(C[..., wrap:], primes, top, plan.fan_in)
-            D, C = _step(D, C, plan)
+            if mode == "poly":
+                C = _step_poly(C, step)
+            else:
+                D, C = _step(D, C, step)
         if C is not None:
             top = _reduce_lanes(C[..., wrap:], primes, top)
-        yield D, C
+        yield D, (C[:, None, 1:] if mode == "poly" else C)
 
 
-def _poly_rows(kernel: str, m: int, n: int, start_index: int,
-               moduli: Optional[np.ndarray]) -> Iterator[np.ndarray]:
-    """Run n poly rows from an indicator at one full-row state, yielding
-    an int64 view shaped (lanes, full-row states, m*row + 1) per row."""
-    size = len(_start_codes(kernel, m))
-    V = np.zeros((len(moduli), size + 1, 2), dtype=np.int64)
-    V[:, start_index, 1] = 1
-    wrap, primes = prime_lanes(moduli)
-    if primes is not None:
-        primes = primes[:, None, None]
-    top = 1  # bounds every prime-lane value
-    for _ in range(n):
-        for layers in _poly_layers(kernel, m):
-            top = _reduce_lanes(V[wrap:], primes, top, len(layers))
-            V = _step_poly(V, layers)
-        top = _reduce_lanes(V[wrap:], primes, top)
-        yield V[:, :-1, 1:]
-
-
-def _block_rows(kernel: str, m: int, n: Optional[int], mode: str,
+def _block_rows(kernel: str, m: int, n: int, mode: str,
                 moduli: Optional[np.ndarray], starts: np.ndarray,
                 rows: np.ndarray, cols: np.ndarray) -> Iterator[tuple]:
     """Sweep one block of starts, yielding the picked (min degrees, values)
     after each row: degrees (picks,), values counts (picks, lanes) or poly
-    coefficients (picks, lanes, degrees); a part the mode does not carry is
+    coefficients (picks, degrees, lanes); a part the mode does not carry is
     None.  Pick k is state rows[k] of start cols[k]."""
-    if mode == "poly":
-        (start,) = starts
-        for V in _poly_rows(kernel, m, n, start, moduli):
-            yield None, V.swapaxes(0, 1)[rows]
-        return
     for D, C in _sweep(kernel, m, n, mode, starts, moduli):
         yield (None if D is None else D[rows, cols],
                None if C is None else C[rows, cols])
@@ -518,21 +513,21 @@ def _aggregate(mode: str, deg: Optional[np.ndarray], vals: Optional[np.ndarray],
     """Coefficients, total, minimum degree, or (minimum degree, its count)
     over picked entries, shaped as :func:`_block_rows` yields them."""
     if mode == "poly":
-        return lane_values(lane_sum(vals.swapaxes(0, 1), moduli), moduli)
+        return lane_values(lane_sum(vals, moduli), moduli)
     if mode == "minplus":
         return int(deg.min())
     if mode == "mincount":
         g = int(deg.min())
         vals = vals[deg == g]
-    total = lane_values(lane_sum(vals.T[:, :, None], moduli), moduli)[0]
+    total = lane_values(lane_sum(vals[:, None], moduli), moduli)[0]
     return total if mode == "count" else (g, total)
 
 
-def _series(family: str, m: int, n: Optional[int], mode: str, guards: Guards,
+def _series(family: str, m: int, n: int, mode: str, guards: Guards,
             modulus: Optional[int] = None, workers: int = 1,
             progress: Optional[Callable[[int, int], None]] = None) -> Iterator:
-    """Per-row readouts for n = 1..n (unbounded for None): coefficient
-    lists in poly mode, else what :func:`_aggregate` returns.
+    """Per-row readouts for n = 1..n: coefficient lists in poly mode, else
+    what :func:`_aggregate` returns.
 
     Open boards start from the all-covered row and read every state without
     an uncovered cell.  The torus runs one start per dihedral orbit
@@ -554,8 +549,7 @@ def _series(family: str, m: int, n: Optional[int], mode: str, guards: Guards,
         starts = np.array([_start_index(kernel, m, all_covered(m).code)])
         pick_rows = np.flatnonzero(_no_uncovered_mask(kernel, m))
         pick_cols = np.zeros_like(pick_rows)
-    moduli, block = _plan_lanes(kernel, m, None if n is None else m * n, mode,
-                                modulus, guards)
+    moduli, block = _plan_lanes(kernel, m, m * n, mode, modulus, guards)
     blocks = []
     for b0 in range(0, len(starts), block):
         here = (pick_cols >= b0) & (pick_cols < b0 + block)
@@ -615,10 +609,11 @@ def run_sweep(spec: GraphSpec, start_signature: Signature,
     idx = _start_index(kernel, spec.m, start_signature.code)
     moduli, _ = _plan_lanes(kernel, spec.m, spec.m * rows, "poly",
                             ring.modulus, guards)
-    for V in _poly_rows(kernel, spec.m, rows, idx, moduli):
+    for _, V in _sweep(kernel, spec.m, rows, "poly", np.array([idx]), moduli):
         pass
-    flat = lane_values(V.reshape(len(V), -1), moduli)
-    k = V.shape[2]
+    V = V[:-1, 0]  # drop the filler row; (states, degrees, lanes)
+    flat = lane_values(V.reshape(-1, V.shape[2]), moduli)
+    k = V.shape[1]
     states = [flat[i:i + k] for i in range(0, len(flat), k)]
     result: dict[int, Polynomial] = {}
     for code, coeffs in zip(_start_codes(kernel, spec.m), states):
@@ -665,11 +660,9 @@ def domination_polynomial(spec: GraphSpec, ring: Ring = EXACT,
                           ) -> Polynomial:
     """The domination polynomial D(z) of one lattice instance."""
     spec = _oriented(spec)
-    if spec.family == "torus":
-        return torus_polynomial(spec.m, spec.n, ring=ring, guards=guards,
-                                workers=workers)
     return polynomial_series(spec.family, spec.m, spec.n, ring=ring,
-                             guards=guards, progress=progress)[-1]
+                             guards=guards, progress=progress,
+                             workers=workers)[-1]
 
 
 def count_series(family: str, m: int, n_max: int,
@@ -680,10 +673,18 @@ def count_series(family: str, m: int, n_max: int,
 
 def iter_counts(family: str, m: int,
                 guards: Guards = DEFAULT_GUARDS) -> Iterator[int]:
-    """Stream exact totals for n = 1, 2, 3, ... (non-torus families)."""
+    """Stream exact totals for n = 1, 2, 3, ... (non-torus families).
+
+    Runs count series over doubling horizons, the first as long as the
+    int64 lane alone holds; each run replays the rows streamed before it.
+    """
     if family == "torus":
         raise ValueError("torus totals equal per-n trace sums; use count_series")
-    yield from _series(family, m, None, "count", guards)
+    done, horizon = 0, max(1, _COUNT_INT64_CELLS // m)
+    while True:
+        yield from itertools.islice(_series(family, m, horizon, "count", guards),
+                                    done, None)
+        done, horizon = horizon, 2 * horizon
 
 
 def iter_ratios(family: str, m: int,
@@ -701,12 +702,8 @@ def iter_ratios(family: str, m: int,
     kernel = _kernel_for(family)
     _check_guards(kernel, m, 1, guards)
     mask = np.append(_no_uncovered_mask(kernel, m), False)  # not the filler row
-    C = np.zeros((len(mask), 1, 1))
-    C[_start_index(kernel, m, all_covered(m).code)] = 1.0
-    plans = _gather_plans(kernel, m)
-    while True:
-        for plan in plans:
-            _, C = _step(None, C, plan)
+    start = np.array([_start_index(kernel, m, all_covered(m).code)])
+    for _, C in _sweep(kernel, m, None, "count", start, None):
         ratio = C[mask].sum()
         C /= ratio
         yield float(ratio)
@@ -736,10 +733,8 @@ def torus_polynomial(m: int, n: int, ring: Ring = EXACT,
                      guards: Guards = DEFAULT_GUARDS, workers: int = 1,
                      ) -> Polynomial:
     """Domination polynomial of the m x n torus (trace over cyclic starts)."""
-    if m > n:
-        m, n = n, m  # transpose symmetry; the trace loop scales with m
-    return polynomial_series("torus", m, n, ring=ring, guards=guards,
-                             workers=workers)[-1]
+    return domination_polynomial(GraphSpec("torus", m, n), ring=ring,
+                                 guards=guards, workers=workers)
 
 
 # ---------------------------------------------------------------- multi-mod

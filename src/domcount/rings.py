@@ -250,35 +250,31 @@ def prime_lanes(moduli: Optional[np.ndarray]) -> tuple[int, Optional[np.ndarray]
     return wrap, (moduli[wrap:] if len(moduli) > wrap else None)
 
 
-def lane_sum(lanes: np.ndarray, moduli: Optional[np.ndarray]) -> np.ndarray:
-    """Sum int64 lanes shaped (lanes, rows, k) over rows.
+def lane_sum(lanes: np.ndarray, moduli: np.ndarray) -> np.ndarray:
+    """Sum int64 values shaped (rows, k, lanes) over rows.
 
     The int64 lane (modulus 0) sums as it is, exact modulo 2^64.  Prime
     lanes (each modulus at most 2^62) are reduced after every block of rows
-    small enough that its sum stays below 2^63.  Without moduli the one lane
-    holds exact values (Python integers in object dtype).
+    small enough that its sum stays below 2^63.
     """
     wrap, primes = prime_lanes(moduli)
     if primes is None:
-        return lanes.sum(axis=1)
-    primes = primes[:, None, None]
+        return lanes.sum(axis=0)
     block = (2**63 - 1) // (int(primes.max()) - 1)
-    while lanes.shape[1] > 1:
-        k = min(block, lanes.shape[1])
-        lanes = np.pad(lanes, ((0, 0), (0, -lanes.shape[1] % k), (0, 0)))
-        lanes = lanes.reshape(len(lanes), -1, k, lanes.shape[2]).sum(axis=2)
-        lanes[wrap:] %= primes
-    return lanes.sum(axis=1)
+    while len(lanes) > 1:
+        k = min(block, len(lanes))
+        lanes = np.pad(lanes, ((0, -len(lanes) % k), (0, 0), (0, 0)))
+        lanes = lanes.reshape(-1, k, *lanes.shape[1:]).sum(axis=1)
+        lanes[..., wrap:] %= primes
+    return lanes.sum(axis=0)
 
 
-def lane_values(lanes: np.ndarray, moduli: Optional[np.ndarray]) -> list[int]:
-    """Python ints from int64 lanes shaped (lanes, k): the int64 lane read
+def lane_values(lanes: np.ndarray, moduli: np.ndarray) -> list[int]:
+    """Python ints from int64 values shaped (k, lanes): the int64 lane read
     modulo 2^64, one lane as it is, several lanes recombined by
     :func:`crt_reconstruct`."""
-    if moduli is None:
-        return lanes[0].tolist()
     residues = [(int(p) or 1 << 64, (lane if p else lane.view(np.uint64)).tolist())
-                for p, lane in zip(moduli, lanes)]
+                for p, lane in zip(moduli, lanes.T)]
     if len(residues) == 1:
         return residues[0][1]
     return list(crt_reconstruct(residues).coefficients)

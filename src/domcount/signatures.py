@@ -216,10 +216,6 @@ def count_signatures(m: int, variant: str = "plain", c: Optional[int] = None) ->
     raise ValueError(f"unknown variant {variant!r}")
 
 
-#: growth base of the plain signature count, 1 + sqrt(2)
-GROWTH_BASE = 1 + 2 ** 0.5
-
-
 def closed_form_count(m: int, variant: str = "plain") -> int:
     """Evaluate the closed-form count and round to the nearest integer.
 

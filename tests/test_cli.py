@@ -252,6 +252,7 @@ def test_bad_values_exit_4(capsys):
          "--workers", "1"],
         ["oeis", "A001333", "--limit", "-3"],
         ["oeis", "A001333", "--limit", "0"],
+        ["verify", "--max-cells", "-3"],
     ):
         code, _, err = run(argv, capsys)
         assert code == 4
@@ -282,12 +283,13 @@ def test_memory_env_override(monkeypatch, capsys):
 
 
 def test_progress_goes_to_stderr(capsys):
-    code, out, err = run(["poly", "--family", "grid", "-m", "2", "-n", "200"],
-                         capsys)
-    assert code == 0
-    assert err.splitlines()[-1] == "row 200/200"
-    assert len(err.splitlines()) == 200
-    assert "row" not in out
+    for family in ("grid", "torus"):
+        code, out, err = run(["poly", "--family", family, "-m", "2", "-n",
+                              "200", "--workers", "1"], capsys)
+        assert code == 0
+        assert err.splitlines()[-1] == "row 200/200"
+        assert len(err.splitlines()) == 200
+        assert "row" not in out
 
 
 def test_output_is_deterministic(capsys):

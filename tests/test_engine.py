@@ -206,9 +206,21 @@ def test_stat_series_agree_with_the_full_polynomial():
             assert totals[i] == eval_at_one(poly)
 
 
-def test_iter_counts_streams_the_count_series():
+def test_iter_counts_streams_the_count_series(monkeypatch):
     assert list(islice(iter_counts("cylinder", 3), 6)) == \
         count_series("cylinder", 3, 6)
+    # the stream replays bounded runs over doubling horizons; 25 cylinder
+    # rows cross one horizon, 12 grid rows of width 11 two, and both pass
+    # the rows the int64 lane alone holds
+    series = engine._series
+    for family, m, rows, runs in (("cylinder", 3, 25, 2), ("grid", 11, 12, 3)):
+        want = count_series(family, m, rows)
+        horizons = []
+        monkeypatch.setattr(engine, "_series", lambda family, m, n, *args:
+                            horizons.append(n) or series(family, m, n, *args))
+        assert list(islice(iter_counts(family, m), rows)) == want
+        assert len(horizons) == runs and horizons[-1] >= rows
+        monkeypatch.setattr(engine, "_series", series)
     with pytest.raises(ValueError):
         next(iter_counts("torus", 3))
 

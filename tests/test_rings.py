@@ -213,12 +213,12 @@ def test_lanes_recombine_the_2_64_lane_with_primes():
         for _ in range(300)]
     primes = covering_primes(27, 14)
     moduli = np.array([0, *primes], dtype=np.int64)
-    lanes = np.array([[[v & (2**64 - 1) for v in row] for row in rows]],
+    lanes = np.array([[[v & (2**64 - 1)] for v in row] for row in rows],
                      dtype=np.uint64).view(np.int64)
-    lanes = np.concatenate([lanes, [[[v % p for v in row] for row in rows]
-                                    for p in primes]])
+    lanes = np.concatenate([lanes, [[[v % p for p in primes] for v in row]
+                                    for row in rows]], axis=2)
     sums = [sum(col) for col in zip(*rows)]
     assert max(sums) >= 1 << 64
     assert lane_values(lane_sum(lanes, moduli), moduli) == sums
     # alone, the int64 lane reads every value modulo 2^64, never negative
-    assert lane_values(lanes[:1, 0], moduli[:1]) == _wrapped(rows[0])
+    assert lane_values(lanes[0, :, :1], moduli[:1]) == _wrapped(rows[0])
