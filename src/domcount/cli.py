@@ -189,10 +189,11 @@ def _render_poly(poly: Polynomial, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _progress_printer(cells: int) -> Optional[Callable[[int, int], None]]:
+def _progress_printer(cells: int) -> Optional[Callable[[int, int, str], None]]:
     if cells < _PROGRESS_CELLS:
         return None
-    return lambda r, n: print(f"row {r}/{n}", file=sys.stderr, flush=True)
+    return lambda done, total, unit: print(f"{unit} {done}/{total}",
+                                           file=sys.stderr, flush=True)
 
 
 def cmd_poly(req: RunRequest) -> int:

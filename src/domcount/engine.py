@@ -2,15 +2,11 @@
 
 The sweep fills the lattice one vertex at a time, maintaining a map from
 frontier state to an accumulated value (a polynomial, a count, or a minimum).
-Rather than branching per state in Python, the per-column transitions are
-compiled once per (kernel, width) into one gather plan per column: the
-source state of every unoccupied move (illegal ones dropped) and every
-occupied move, grouped by destination.  A count, minplus or mincount step
-is then one gather and one ``reduceat`` per chunk of about 256 KiB over the
-whole state array.  The poly step splits each plan into fan-in layers,
-layer k the k-th gathered row of every destination that has one: it
-assigns layer 0 and adds each later layer, in gathers of the same size.
-
+Each column's moves, every legal unoccupied and every occupied one, are
+compiled once per (kernel, width) into a gather plan whose destinations are
+numbered by falling fan-in, so fan-in layer k, the k-th gathered row of
+every destination that has one, is a prefix of them: a step of any mode
+gathers each layer into that prefix, with no scatter and no ``reduceat``.
 Evaluation modes:
 
 * ``poly``: coefficient vectors per state (full domination polynomial);
@@ -18,27 +14,22 @@ Evaluation modes:
 * ``minplus``: lowest attainable degree per state (domination number);
 * ``mincount``: lowest degree and the number of sets attaining it.
 
-The poly step reads the occupied move one degree shifted, over the live
-degrees only.  Values are int64 lanes, the lane axis last in every state
-array.  An exact sweep carries an int64 lane that is never reduced and so
-holds every value modulo 2^64 -- alone while every value provably fits,
-otherwise beside lanes of primes below 2^59 that cover the rest, recombined
-by the Chinese remainder theorem; ``--mod`` runs one lane of its prime.
-Prime lanes are reduced only when another step could pass 2^63, and at every
-row end.  Growth estimates run counts in one float64 lane, renormalized
-after every row; the exact count stream (:func:`iter_counts`) replays
-bounded sweeps of doubling length.  One row loop, :func:`_sweep`, runs every
-mode, and every series goes through :func:`_series`; the torus is its trace
-over one start per dihedral orbit.  Count, minplus and mincount sweep all
-starts as columns of one sweep; a poly sweep carries one start, and the
-torus polynomial runs its start orbits on a process pool.
+Values are int64 lanes, the lane axis last.  An exact sweep carries an
+int64 lane that is never reduced, so it holds every value modulo 2^64 --
+alone while values provably fit, else beside lanes of primes below 2^59,
+recombined by the Chinese remainder theorem; ``--mod`` runs one lane of its
+prime.  Prime lanes are reduced only when another step could pass 2^63, and
+at every row end.  Growth runs counts in one float64 lane, renormalized
+every row.  One row loop, :func:`_sweep`, runs every mode on a block of
+starts (poly folds them into the lane axis); every series goes through
+:func:`_series`, the torus as its trace over one start per dihedral orbit.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -69,6 +60,8 @@ _COUNT_INT64_CELLS = 62
 
 _LANE_PRIME_BITS = 59      # exact-run residue primes lie below 2^59
 _GATHER_BYTES = 256 << 10  # gather chunk size of every column step
+_POLY_BLOCK_BYTES = 2 << 20  # state array of one block of poly starts
+_TAIL_ROWS = 8 << 10  # padded later layers past this lose (1.5x with degrees)
 
 _INF = 1 << 62  # min-plus sentinel; survives adding one per placed vertex
 
@@ -80,7 +73,8 @@ class GraphSpec:
     m is the exponential (state space) dimension and wraps for cylinder and
     torus; n is the number of rows and wraps for the torus only.  Wrap
     adjacency is a set: a width-1 cycle contributes no self-loop and a
-    width-2 cycle no parallel edge.
+    width-2 cycle no parallel edge.  The side swept, m after
+    :func:`_oriented`, is at most MAX_WIDTH.
     """
 
     family: str
@@ -90,10 +84,11 @@ class GraphSpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        if not 1 <= self.m <= MAX_WIDTH:
-            raise ValueError(f"m must be in 1..{MAX_WIDTH}")
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
+        if self.m < 1 or self.n < 1:
+            raise ValueError("m and n must be at least 1")
+        if _oriented(self).m > MAX_WIDTH:
+            raise ValueError(f"m, or the narrow side of a transposable "
+                             f"board, must be at most {MAX_WIDTH}")
 
     @property
     def cells(self) -> int:
@@ -115,18 +110,6 @@ DEFAULT_GUARDS = Guards()
 
 def _kernel_for(family: str) -> str:
     return "cylinder" if family == "torus" else family
-
-
-@lru_cache(maxsize=64)
-def _start_codes(kernel: str, m: int) -> np.ndarray:
-    """Full-row state codes: the domain at column 1 of every row."""
-    if kernel == "king":
-        # window = virtual Covered boundary cell + the row itself
-        codes = signature_codes(m) * 3 + 1
-    else:
-        codes = signature_codes(m, cyclic=(kernel == "cylinder"))
-    codes.flags.writeable = False  # cached and shared
-    return codes
 
 
 def _column_images(kernel: str, m: int, c: int, codes: np.ndarray):
@@ -193,167 +176,205 @@ def _column_images_king(m: int, c: int, codes: np.ndarray):
 
 @dataclass(frozen=True)
 class _GatherPlan:
-    """Both moves of one column as one gather grouped by destination.  State
-    arrays end in a filler row (zero counts, _INF degrees), which has a
-    group of its own and is what a destination no move reaches gathers."""
+    """Both moves of one column in fan-in layers: layer k, the k-th
+    gathered row of every destination that has one, covers destinations
+    [0, size) with the rows src[offset:offset + size].  The last
+    destination is the filler row ending every state array (zero counts,
+    _INF degrees), which a destination no move reaches gathers."""
 
-    src: np.ndarray     # source row per gathered row
-    plain: np.ndarray   # 1 for the unoccupied move, 0 for the occupied one
-    starts: np.ndarray  # first gathered row per destination, then the total
-    fan_in: int         # most gathered rows of any one destination
+    src: np.ndarray    # int32 source row per gathered row
+    plain: np.ndarray  # int8: 1 for the unoccupied move, 0 for the occupied
+    layers: tuple[tuple[int, int], ...]  # (offset, size), sizes falling
+
+    @property
+    def fan_in(self) -> int:
+        return len(self.layers)
+
+    @property
+    def rows(self) -> int:  # destinations, the filler row included
+        return self.layers[0][1]
+
+    @cached_property
+    def tail(self) -> tuple[np.ndarray, np.ndarray]:
+        """src and plain of the later layers as (fan-in - 1, size of layer
+        1), padded with the filler row, for small plans."""
+        offsets, sizes = (np.array(x)[:, None] for x in zip(*self.layers[1:]))
+        d = np.arange(self.layers[1][1])
+        rows = np.where(d < sizes, offsets + d, self.rows - 1)  # filler
+        return self.src[rows], np.where(d < sizes, self.plain[rows], 0)
 
 
 @lru_cache(maxsize=64)
-def _gather_plans(kernel: str, m: int) -> tuple[_GatherPlan, ...]:
+def _compiled(kernel: str, m: int) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Compile the columns of one row, from and back to the full-row
-    domain; each column's domain is the sorted set of codes it reaches."""
-    start = dom = _start_codes(kernel, m)
-    plans = []
+    domain: returns its codes ascending, the state index of each, and the
+    column plans.  Each column's images are taken on its domain in code
+    order, and one stable sort groups them by destination in move order: a
+    destination's k-th row goes to layer k.  Destinations are numbered by
+    falling fan-in, sources by the previous column's numbering -- column
+    1's by the last column's, which numbers the full-row domain.
+    """
+    if kernel == "king":  # window = virtual Covered boundary cell + the row
+        start = dom = signature_codes(m) * 3 + 1
+    else:
+        start = dom = signature_codes(m, cyclic=(kernel == "cylinder"))
+    plans, rank = [], None
     for c in range(1, m + 1):
         valid, plain_dst, occ_dst = _column_images(kernel, m, c, dom)
         moved = np.concatenate([plain_dst[valid], occ_dst])
-        if c == m:
-            nxt = start
-        else:
-            # sort plus diff: np.unique hashes, which is several times slower
-            both = np.sort(moved)
-            nxt = both[np.r_[True, both[1:] != both[:-1]]]
-        dst = np.searchsorted(nxt, moved)
-        # completed rows always form valid full-row signatures
-        assert (nxt[dst.clip(max=len(nxt) - 1)] == moved).all()
-        reached = np.zeros(len(nxt) + 1, dtype=bool)
-        reached[dst] = True
-        missing = np.flatnonzero(~reached)
-        dst = np.concatenate([dst, missing])
-        src = np.concatenate([np.flatnonzero(valid), np.arange(len(dom)),
-                              np.full(len(missing), len(dom))])
-        plain = np.zeros(len(src), dtype=np.int8)
-        plain[:np.count_nonzero(valid)] = 1
-        order = np.argsort(dst, kind="stable")
-        starts = np.searchsorted(dst[order], np.arange(len(nxt) + 2))
-        plans.append(_GatherPlan(src[order], plain[order], starts,
-                                 int(np.diff(starts).max())))
+        src = np.concatenate([np.flatnonzero(valid), np.arange(len(dom))])
+        src = src if rank is None else rank[src]
+        order = np.argsort(moved, kind="stable")
+        moved = moved[order]
+        new = np.r_[True, moved[1:] != moved[:-1]]
+        heads = np.flatnonzero(new)  # each reached code's first row
+        if c < m:
+            nxt, group = moved[heads], np.arange(len(heads))
+        else:  # completed rows always form valid full-row signatures
+            nxt, group = start, np.searchsorted(start, moved[heads])
+            assert (start[group.clip(max=len(start) - 1)] == moved[heads]).all()
+        fan = np.ones(len(nxt) + 1, dtype=np.int8)  # unreached: the filler
+        fan[group] = np.diff(np.append(heads, len(moved)))
+        rank = np.empty(len(fan), dtype=np.int64)
+        # a stable radix sort on int8: the filler row stays last
+        rank[np.argsort(-fan, kind="stable")] = np.arange(len(fan))
+        sizes = np.cumsum(np.bincount(fan)[::-1])[::-1][1:]  # fan-in > k
+        offsets = np.cumsum(sizes) - sizes
+        head = np.cumsum(new) - 1
+        at = offsets[np.arange(len(moved)) - heads[head]] + rank[group][head]
+        plan = _GatherPlan(np.full(sizes.sum(), len(dom), dtype=np.int32),
+                           np.zeros(sizes.sum(), dtype=np.int8),
+                           tuple(zip(offsets.tolist(), sizes.tolist())))
+        plan.src[at] = src[order]
+        plan.plain[at] = order < np.count_nonzero(valid)
+        plans.append(plan)
         dom = nxt
-    return tuple(plans)
+    plans[0].src[:] = rank[plans[0].src]
+    return start, rank[:-1], tuple(plans)
+
+
+def _gather_plans(kernel: str, m: int) -> tuple[_GatherPlan, ...]:
+    return _compiled(kernel, m)[2]
 
 
 @lru_cache(maxsize=64)
-def _poly_layers(kernel: str, m: int) -> tuple[tuple, ...]:
-    """The gather plans of one row split into fan-in layers, for the poly
-    step: per column, layer k holds (destination, source, plain) of the
-    k-th gathered row of every destination that has more than k, so layer
-    0 lists every destination in order.  int32 and int8, and cached apart
-    from the plans, so that only poly runs hold them."""
-    columns = []
-    for plan in _gather_plans(kernel, m):
-        sizes = np.diff(plan.starts)
-        layers = []
-        for k in range(plan.fan_in):
-            dst = np.flatnonzero(sizes > k)
-            rows = plan.starts[dst] + k
-            layers.append((dst.astype(np.int32), plan.src[rows].astype(np.int32),
-                           plan.plain[rows]))
-        columns.append(tuple(layers))
-    return tuple(columns)
-
-
-def _domain_bound(kernel: str, m: int) -> int:
-    # kinked mid-row domains never exceed three times the full-row count
-    if kernel == "king":
-        return 3 * count_signatures(m + 1)
-    return 3 * count_signatures(m, "cyclic" if kernel == "cylinder" else "plain")
-
-
-@lru_cache(maxsize=64)
-def _no_uncovered_mask(kernel: str, m: int) -> np.ndarray:
-    dom = _start_codes(kernel, m)
+def _covered_rows(kernel: str, m: int) -> np.ndarray:
+    """State indices of the full-row states without an uncovered cell, in
+    code order, so that float64 readouts add in a fixed order."""
+    dom, index, _ = _compiled(kernel, m)
     row = dom // 3 if kernel == "king" else dom
     ok = np.ones(len(dom), dtype=bool)
     for i in range(m):
         ok &= (row // 3 ** i % 3) != 0
-    return ok
+    return index[ok]
+
+
+def _start_indices(kernel: str, m: int, codes: list[int]) -> np.ndarray:
+    """State indices of full-row signature codes."""
+    dom, index, _ = _compiled(kernel, m)
+    full = np.array(codes, dtype=np.int64)
+    if kernel == "king":
+        full = 3 * full + 1
+    i = np.searchsorted(dom, full).clip(max=len(dom) - 1)
+    if (dom[i] != full).any():
+        raise ValueError(f"codes {codes} include an invalid start state")
+    return index[i]
 
 
 # ------------------------------------------------------------ column steps
 
-def _chunks(plan: _GatherPlan, row_bytes: int) -> list[tuple[int, int]]:
-    """Destination ranges whose gathered rows fill about _GATHER_BYTES."""
-    groups = len(plan.starts) - 1
-    chunk = max(1, _GATHER_BYTES // row_bytes)
-    cuts = np.searchsorted(plan.starts, range(chunk, len(plan.src), chunk))
-    bounds = [0, *cuts.tolist(), groups]
-    return [(g0, g1) for g0, g1 in zip(bounds[:-1], bounds[1:]) if g0 < g1]
+def _keep(counts: np.ndarray, mask: np.ndarray) -> None:
+    """Zero counts (..., lanes) where mask (...) is False, a lane at a time."""
+    for lane in range(counts.shape[-1]):
+        counts[..., lane] *= mask
 
 
-def _step_poly(V: np.ndarray, layers: tuple) -> np.ndarray:
-    """One column on (states + 1, 1 + live degrees, lanes); one more degree
-    out.
+def _step(D: Optional[np.ndarray], C: Optional[np.ndarray], plan: _GatherPlan,
+          poly: bool = False):
+    """One column on min degrees D (states + 1, starts) and counts C
+    (states + 1, starts, lanes), either one absent, or on poly coefficients
+    C (states + 1, 1 + live degrees, starts * lanes), one more degree out.
 
-    Slot 0 of the degree axis is a zero pad before degree 0, so the window
-    starting at a row is the row shifted one degree up (the occupied move)
-    and the window one slot later the row itself (the unoccupied move),
-    ending in the next row's pad; each window holds every lane.  Layer 0 of the fan-in layers assigns every
-    destination its first gathered row; each later layer adds one more row
-    to the destinations that have it, and no destination appears twice
-    within a layer.
+    Counts add over a destination's gathered rows, with degrees only rows
+    at the minimum degree; the occupied move adds one to the degree.  Slot
+    0 of the poly degree axis is a zero pad, so the window at a row is the
+    row one degree up and the window one slot later the row itself.  Per
+    chunk of destinations, layer 0 is gathered and the later layers, summed,
+    are added: float64 counts add as a0 + (a1 + a2 + ...).
     """
-    rows, width, lanes = V.shape
-    out = np.empty((len(layers[0][0]), width + 1, lanes), dtype=np.int64)
-    out[:, 0] = 0
-    windows = as_strided(V, (rows * width - width + 1, width, lanes),
-                         (8 * lanes, 8 * lanes, 8), writeable=False)
-    chunk = max(1, _GATHER_BYTES // (8 * width * lanes))
-    for k, (dst, src, plain) in enumerate(layers):
-        for a in range(0, len(src), chunk):
-            idx = src[a:a + chunk] * np.int64(width) + plain[a:a + chunk]
-            if k == 0:
-                out[a:a + chunk, 1:] = windows[idx]
-            else:
-                out[dst[a:a + chunk], 1:] += windows[idx]
-    return out
+    n0 = plan.rows
+    outD = None if D is None else np.empty((n0, *D.shape[1:]), np.int64)
+    outC = sums = None  # sums: outC past the poly degree pad
+    if poly:
+        rows, width, lanes = C.shape
+        windows = as_strided(C, (rows * width - width + 1, width, lanes),
+                             (8 * lanes, 8 * lanes, 8), writeable=False)
+        outC = np.empty((n0, width + 1, lanes), dtype=np.int64)
+        outC[:, 0] = 0
+        sums = outC[:, 1:]
+    elif C is not None:
+        outC = sums = np.empty((n0, *C.shape[1:]), C.dtype)
 
+    def gather(src, plain):  # the values of gathered rows
+        if poly:
+            return windows[src * np.int64(width) + plain]
+        return C.take(src, axis=0, mode="clip")
 
-def _step(D: Optional[np.ndarray], C: Optional[np.ndarray], plan: _GatherPlan):
-    """One column of a one-value semiring on min degrees D (states + 1,
-    starts) and counts C (states + 1, starts, lanes), either one absent.
+    def lifted(src, plain):  # the degrees of gathered rows
+        deg = D.take(src, axis=0, mode="clip")
+        deg += 1 - plain[..., None]
+        return deg
 
-    Counts add over a destination's gathered rows; with degrees, only the
-    rows at the destination's minimum degree count.  The occupied move adds
-    one to the degree.  Counts are not reduced; see :func:`_reduce_lanes`.
-    """
-    groups = len(plan.starts) - 1
-    outD = None if D is None else np.empty((groups, *D.shape[1:]), D.dtype)
-    outC = None if C is None else np.empty((groups, *C.shape[1:]), C.dtype)
-    row_bytes = 8 * sum(a[0].size for a in (D, C) if a is not None)
-    for g0, g1 in _chunks(plan, row_bytes):
-        r0, r1 = plan.starts[g0], plan.starts[g1]
-        src = plan.src[r0:r1]
-        at = plan.starts[g0:g1] - r0
+    chunk = max(1, _GATHER_BYTES // (8 * sum(a[0].size for a in (D, C)
+                                              if a is not None)))
+    for a in range(0, n0, chunk):
+        b = min(a + chunk, n0)
+        # the later layers by blocks (layers, destinations a..): one for
+        # all while, padded, they fit a chunk and _TAIL_ROWS, else one each
+        pieces = [(lo + a, lo + min(b, n))
+                  for lo, n in plan.layers[1:] if n > a]
+        if pieces and (plan.fan_in - 1) * plan.layers[1][1] <= min(
+                chunk, _TAIL_ROWS * (2 + (D is not None)) // 2):
+            blocks = [plan.tail]
+        else:
+            blocks = [(plan.src[None, r0:r1], plan.plain[None, r0:r1])
+                      for r0, r1 in pieces]
         if D is not None:
-            deg = np.take(D, src, axis=0) + (1 - plan.plain[r0:r1])[:, None]
-            np.minimum.reduceat(deg, at, axis=0, out=outD[g0:g1])
-        if C is not None:
-            cnt = np.take(C, src, axis=0)
+            outD[a:b] = lifted(plan.src[a:b], plan.plain[a:b])
+            low = outD[a:a + (pieces[0][1] - pieces[0][0] if pieces else 0)]
+            first = low.copy()
+            degs = [lifted(*block) for block in blocks]
+            for deg in degs:
+                np.minimum(low[:deg.shape[1]], deg.min(axis=0),
+                           out=low[:deg.shape[1]])
+        if C is None:
+            continue
+        sums[a:b] = gather(plan.src[a:b], plan.plain[a:b])
+        if D is not None:
+            _keep(sums[a:a + len(low)], first == low)
+        acc = None
+        for i, block in enumerate(blocks):
+            got = gather(*block)
             if D is not None:
-                sizes = np.diff(plan.starts[g0:g1 + 1])
-                cnt *= (deg == np.repeat(outD[g0:g1], sizes, axis=0))[..., None]
-            np.add.reduceat(cnt, at, axis=0, out=outC[g0:g1])
+                _keep(got, degs[i] == low[:got.shape[1]])
+            got = got[0] if len(got) == 1 else got.sum(axis=0)
+            if acc is None:
+                acc = got
+            else:
+                acc[:len(got)] += got
+        if acc is not None:
+            sums[a:a + len(acc)] += acc
     return outD, outC
 
 
-def _reduce_lanes(lanes: np.ndarray, primes: Optional[np.ndarray], top: int,
+def _reduce_lanes(lanes: np.ndarray, primes: np.ndarray, top: int,
                   fan_in: Optional[int] = None) -> int:
-    """The lazy reduction rule of every sweep, called before each step.
-
-    Reduces the prime lanes `lanes` (the lane axis last) in place modulo
-    `primes` when a step that adds up to `fan_in` values could pass 2^63,
-    and always at a row end (fan_in None), since readouts take residues.
+    """The lazy reduction rule of every sweep with prime lanes, called
+    before each step: reduces the prime lanes `lanes` (lanes last) in place
+    modulo `primes` when a step adding up to `fan_in` values could pass
+    2^63, and at a row end (fan_in None), since readouts take residues.
     `top` bounds every prime-lane value; returns the bound after the step.
-    Without prime lanes nothing is tracked: the int64 lane is never
-    reduced, and an unbounded sweep would grow `top` forever.
-    """
-    if primes is None:
-        return top
+    The int64 lane is never reduced."""
     if fan_in is None or top * fan_in >= 2**63:
         lanes %= primes
         top = int(primes.max()) - 1
@@ -366,12 +387,14 @@ def _check_guards(kernel: str, m: int, values: int, guards: Guards) -> int:
     """`values` is the number of int64 values each state carries per start;
     returns how many starts fit two state arrays over the widest compiled
     column domain into max_memory_bytes (at least one, or GuardExceeded)."""
-    bound = _domain_bound(kernel, m)
+    # kinked mid-row domains never exceed three times the full-row count
+    kind = "cyclic" if kernel == "cylinder" else "plain"
+    bound = 3 * count_signatures(m + (kernel == "king"), kind)
     if bound > guards.max_states:
         raise GuardExceeded(
             f"state bound {bound} for width {m} exceeds max_states="
             f"{guards.max_states}")
-    rows = max(len(plan.starts) - 1 for plan in _gather_plans(kernel, m))
+    rows = max(plan.rows for plan in _gather_plans(kernel, m))
     estimate = 2 * rows * values * 8
     if estimate > guards.max_memory_bytes:
         raise GuardExceeded(
@@ -407,8 +430,8 @@ def _plan_lanes(kernel: str, m: int, cells: int, mode: str,
     bounds every value.  `modulus` gives one lane of that prime; min-plus
     sweeps carry no moduli (None).  A step adds up to fan-in residues and a
     readout block at least two, so a prime P is admissible while
-    max(fan-in, 2)*(P-1) < 2^63.  A poly sweep carries one start: its step
-    is memory-bound, so batched starts run slower.
+    max(fan-in, 2)*(P-1) < 2^63.  A poly block keeps its state array near
+    _POLY_BLOCK_BYTES (the step is memory-bound), and none passes the guard.
     """
     int64_cells = _POLY_INT64_CELLS if mode == "poly" else _COUNT_INT64_CELLS
     if mode == "minplus":
@@ -420,12 +443,12 @@ def _plan_lanes(kernel: str, m: int, cells: int, mode: str,
     else:
         moduli = (0, *_lane_primes(cells + 1 - 64))
     lanes = max(len(moduli), 1)
+    values = lanes * (cells + 2) if mode == "poly" else \
+        (mode != "count") + (mode != "minplus") * lanes
+    block = _check_guards(kernel, m, values, guards)
     if mode == "poly":
-        _check_guards(kernel, m, lanes * (cells + 2), guards)
-        block = 1
-    else:
-        block = _check_guards(kernel, m, (mode != "count") +
-                              (mode != "minplus") * lanes, guards)
+        rows = max(plan.rows for plan in _gather_plans(kernel, m))
+        block = max(1, min(block, _POLY_BLOCK_BYTES // (8 * rows * values)))
     if not moduli:
         return None, block
     fan_in = max(2, *(plan.fan_in for plan in _gather_plans(kernel, m)))
@@ -442,16 +465,14 @@ def _sweep(kernel: str, m: int, n: Optional[int], mode: str,
            starts: np.ndarray, moduli: Optional[np.ndarray]) -> Iterator[tuple]:
     """The row loop of every mode: run n rows (unbounded for None) from one
     indicator per full-row state in `starts`, yielding (min degrees, values)
-    after each row; a part the mode does not carry is None.
-
-    Min degrees are (states + 1, starts).  Values keep the lane axis last:
-    counts (states + 1, starts, lanes) and poly coefficients (states + 1,
-    starts, degrees, lanes), a poly sweep carrying one start.  Lanes are
-    int64, one per modulus, and prime lanes follow :func:`_reduce_lanes`;
-    counts without moduli are one float64 lane, which the caller may
-    rescale in place between rows.
+    after each row; a part the mode does not carry is None.  Min degrees
+    are (states + 1, starts), counts (states + 1, starts, lanes) and poly
+    coefficients (states + 1, starts, degrees, lanes), a view of the state
+    array (states + 1, 1 + degrees, starts * lanes).  Lanes are int64, one
+    per modulus; counts without moduli are one float64 lane, which the
+    caller may rescale in place between rows.
     """
-    size = len(_start_codes(kernel, m))
+    size = len(_compiled(kernel, m)[0])
     cols = np.arange(len(starts))
     lanes = 1 if moduli is None else len(moduli)
     D = C = None
@@ -463,49 +484,48 @@ def _sweep(kernel: str, m: int, n: Optional[int], mode: str,
                      dtype=np.float64 if moduli is None else np.int64)
         C[starts, cols] = 1
     if mode == "poly":
-        (start,) = starts
-        C = np.zeros((size + 1, 2, lanes), dtype=np.int64)
-        C[start, 1] = 1
-    plans = _gather_plans(kernel, m)
-    steps = _poly_layers(kernel, m) if mode == "poly" else plans
+        C = np.zeros((size + 1, 2, len(starts) * lanes), dtype=np.int64)
+        C.reshape(size + 1, 2, len(starts), lanes)[starts, 1, cols] = 1
     wrap, primes = prime_lanes(moduli)
     top = 1  # bounds every prime-lane value
     for _ in itertools.count() if n is None else range(n):
-        for plan, step in zip(plans, steps):
-            if C is not None:
-                top = _reduce_lanes(C[..., wrap:], primes, top, plan.fan_in)
-            if mode == "poly":
-                C = _step_poly(C, step)
-            else:
-                D, C = _step(D, C, step)
-        if C is not None:
-            top = _reduce_lanes(C[..., wrap:], primes, top)
-        yield D, (C[:, None, 1:] if mode == "poly" else C)
+        for plan in _gather_plans(kernel, m):
+            if primes is not None:
+                top = _reduce_lanes(C.reshape(-1, lanes)[:, wrap:], primes,
+                                    top, plan.fan_in)
+            D, C = _step(D, C, plan, mode == "poly")
+        if primes is not None:
+            top = _reduce_lanes(C.reshape(-1, lanes)[:, wrap:], primes, top)
+        yield D, (C.reshape(size + 1, -1, len(starts), lanes)[:, 1:]
+                  .swapaxes(1, 2) if mode == "poly" else C)
 
 
-def _block_rows(kernel: str, m: int, n: int, mode: str,
-                moduli: Optional[np.ndarray], starts: np.ndarray,
-                rows: np.ndarray, cols: np.ndarray) -> Iterator[tuple]:
+def _block_rows(job: tuple) -> Iterator[tuple]:
     """Sweep one block of starts, yielding the picked (min degrees, values)
     after each row: degrees (picks,), values counts (picks, lanes) or poly
     coefficients (picks, degrees, lanes); a part the mode does not carry is
     None.  Pick k is state rows[k] of start cols[k]."""
+    kernel, m, n, mode, moduli, starts, rows, cols = job
     for D, C in _sweep(kernel, m, n, mode, starts, moduli):
         yield (None if D is None else D[rows, cols],
                None if C is None else C[rows, cols])
 
 
-def _joined(parts: list) -> list[tuple]:
-    """Per row, the picks of several block runs joined in order."""
-    return [tuple(None if part[0] is None else np.concatenate(part)
-                  for part in zip(*row)) for row in zip(*parts)]
+def _run_block(job) -> list[tuple]:
+    """Every row of one block: the unit of work of a pool worker."""
+    return list(_block_rows(job))
 
 
-def _run_blocks(job) -> list[tuple]:
-    """One chunk of blocks, run in turn: the unit of work of a pool worker."""
-    kernel, m, n, mode, moduli, blocks = job
-    return _joined([list(_block_rows(kernel, m, n, mode, moduli, *block))
-                    for block in blocks])
+def _pooled(work: Callable, jobs: list, procs: int) -> Iterator:
+    """work(job) for each job in order, as each finishes, on up to `procs`
+    processes."""
+    if procs <= 1 or len(jobs) <= 1:
+        yield from map(work, jobs)
+        return
+    # imported here: it loads multiprocessing, which serial runs skip
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=min(procs, len(jobs))) as pool:
+        yield from pool.map(work, jobs)
 
 
 def _aggregate(mode: str, deg: Optional[np.ndarray], vals: Optional[np.ndarray],
@@ -525,61 +545,50 @@ def _aggregate(mode: str, deg: Optional[np.ndarray], vals: Optional[np.ndarray],
 
 def _series(family: str, m: int, n: int, mode: str, guards: Guards,
             modulus: Optional[int] = None, workers: int = 1,
-            progress: Optional[Callable[[int, int], None]] = None) -> Iterator:
+            progress: Optional[Callable[[int, int, str], None]] = None,
+            ) -> Iterator:
     """Per-row readouts for n = 1..n: coefficient lists in poly mode, else
-    what :func:`_aggregate` returns.
-
-    Open boards start from the all-covered row and read every state without
-    an uncovered cell.  The torus runs one start per dihedral orbit
-    representative and reads each start's diagonal entry once per orbit
-    member: rotating or reflecting a start signature permutes rows and
-    columns of the transfer operator alike, so diagonal entries are constant
-    on orbits.  Count, minplus and mincount sweep every start as a column of
-    one sweep, split into blocks only when the memory guard requires it; a
-    poly block is one start.  With several blocks and workers > 1, each of
-    up to `workers` processes runs one chunk of blocks.
+    what :func:`_aggregate` returns.  Open boards start from the all-covered
+    row and read every state without an uncovered cell.  The torus runs one
+    start per dihedral orbit and reads its diagonal entry once per orbit
+    member: rotating or reflecting a start permutes rows and columns of the
+    transfer operator alike.  Starts run in blocks sized by
+    :func:`_plan_lanes`, on up to `workers` processes; `progress(done, total,
+    unit)` follows each row ("row") of one block, or each of several blocks
+    ("block"), since the rows of a block complete only with its last.
     """
     kernel = _kernel_for(family)
     if family == "torus":
         orbits = dihedral_orbits(m)
-        starts = np.array([_start_index(kernel, m, code) for code, _ in orbits])
+        starts = _start_indices(kernel, m, [code for code, _ in orbits])
         pick_cols = np.repeat(np.arange(len(orbits)), [w for _, w in orbits])
         pick_rows = starts[pick_cols]
     else:
-        starts = np.array([_start_index(kernel, m, all_covered(m).code)])
-        pick_rows = np.flatnonzero(_no_uncovered_mask(kernel, m))
+        starts = _start_indices(kernel, m, [all_covered(m).code])
+        pick_rows = _covered_rows(kernel, m)
         pick_cols = np.zeros_like(pick_rows)
     moduli, block = _plan_lanes(kernel, m, m * n, mode, modulus, guards)
-    blocks = []
+    jobs = []
     for b0 in range(0, len(starts), block):
         here = (pick_cols >= b0) & (pick_cols < b0 + block)
-        blocks.append((starts[b0:b0 + block], pick_rows[here], pick_cols[here] - b0))
-    if len(blocks) == 1:
-        picked = _block_rows(kernel, m, n, mode, moduli, *blocks[0])
-    else:
-        chunks = min(max(workers, 1), len(blocks))
-        jobs = [(kernel, m, n, mode, moduli, blocks[i::chunks])
-                for i in range(chunks)]
-        if chunks > 1:
-            # imported here: it loads multiprocessing, which serial runs skip
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=chunks) as pool:
-                picked = _joined(list(pool.map(_run_blocks, jobs)))
-        else:
-            picked = _run_blocks(jobs[0])
-    for r, (deg, vals) in enumerate(picked, 1):
-        if progress is not None:
-            progress(r, n)
+        jobs.append((kernel, m, n, mode, moduli, starts[b0:b0 + block],
+                     pick_rows[here], pick_cols[here] - b0))
+
+    def reported(items, unit, total):
+        for k, item in enumerate(items, 1):
+            if progress is not None:
+                progress(k, total, unit)
+            yield item
+
+    if len(jobs) == 1:
+        rows = reported(_block_rows(jobs[0]), "row", n)
+    else:  # each row's picks, joined over the blocks
+        parts = list(reported(_pooled(_run_block, jobs, workers), "block",
+                              len(jobs)))
+        rows = ([None if part[0] is None else np.concatenate(part)
+                 for part in zip(*row)] for row in zip(*parts))
+    for deg, vals in rows:
         yield _aggregate(mode, deg, vals, moduli)
-
-
-def _start_index(kernel: str, m: int, code: int) -> int:
-    dom = _start_codes(kernel, m)
-    full = 1 + 3 * code if kernel == "king" else code
-    i = int(np.searchsorted(dom, full))
-    if i == len(dom) or dom[i] != full:
-        raise ValueError(f"code {code} is not a valid start state")
-    return i
 
 
 # ------------------------------------------------------------- public API
@@ -597,8 +606,7 @@ def run_sweep(spec: GraphSpec, start_signature: Signature,
     if spec.family == "torus":
         raise ValueError("run_sweep has open-ended row semantics; "
                          "use torus_polynomial for the torus")
-    if rows is None:
-        rows = spec.n
+    rows = spec.n if rows is None else rows
     if start_signature.width != spec.m:
         raise ValueError("start signature width does not match the spec")
     cyclic = spec.family == "cylinder"
@@ -606,29 +614,29 @@ def run_sweep(spec: GraphSpec, start_signature: Signature,
         raise ValueError(f"start signature {start_signature} is not "
                          f"{'cyclic-' if cyclic else ''}valid")
     kernel = _kernel_for(spec.family)
-    idx = _start_index(kernel, spec.m, start_signature.code)
+    idx = _start_indices(kernel, spec.m, [start_signature.code])
     moduli, _ = _plan_lanes(kernel, spec.m, spec.m * rows, "poly",
                             ring.modulus, guards)
-    for _, V in _sweep(kernel, spec.m, rows, "poly", np.array([idx]), moduli):
+    for _, V in _sweep(kernel, spec.m, rows, "poly", idx, moduli):
         pass
-    V = V[:-1, 0]  # drop the filler row; (states, degrees, lanes)
-    flat = lane_values(V.reshape(-1, V.shape[2]), moduli)
-    k = V.shape[1]
-    states = [flat[i:i + k] for i in range(0, len(flat), k)]
+    codes, index, _ = _compiled(kernel, spec.m)
+    V = V[index, 0]  # code order, no filler row; (states, degrees, lanes)
+    flat, k = lane_values(V.reshape(-1, V.shape[2]), moduli), V.shape[1]
     result: dict[int, Polynomial] = {}
-    for code, coeffs in zip(_start_codes(kernel, spec.m), states):
-        if any(coeffs):
-            sig_code = int(code) // 3 if kernel == "king" else int(code)
-            result[sig_code] = Polynomial.from_coefficients(coeffs, ring).trimmed()
+    for i, code in enumerate(codes // 3 if kernel == "king" else codes):
+        if any(coeffs := flat[i * k:(i + 1) * k]):
+            result[int(code)] = Polynomial.from_coefficients(
+                coeffs, ring).trimmed()
     return result
 
 
 def polynomial_series(family: str, m: int, n_max: int, ring: Ring = EXACT,
                       guards: Guards = DEFAULT_GUARDS,
-                      progress: Optional[Callable[[int, int], None]] = None,
+                      progress: Optional[Callable[[int, int, str], None]] = None,
                       workers: int = 1) -> list[Polynomial]:
-    """Domination polynomials of family m x n for every n = 1..n_max; the
-    torus start orbits run on up to `workers` processes."""
+    """Domination polynomials of family m x n for every n = 1..n_max, torus
+    start orbits in blocks on up to `workers` processes; `progress(done,
+    total, unit)` reports rows, or the blocks of a torus sweep."""
     return [Polynomial.from_coefficients(coeffs, ring).trimmed()
             for coeffs in _series(family, m, n_max, "poly", guards,
                                   ring.modulus, workers, progress)]
@@ -656,7 +664,7 @@ def _oriented(spec: GraphSpec) -> GraphSpec:
 def domination_polynomial(spec: GraphSpec, ring: Ring = EXACT,
                           guards: Guards = DEFAULT_GUARDS,
                           workers: int = 1,
-                          progress: Optional[Callable[[int, int], None]] = None,
+                          progress: Optional[Callable[[int, int, str], None]] = None,
                           ) -> Polynomial:
     """The domination polynomial D(z) of one lattice instance."""
     spec = _oriented(spec)
@@ -701,10 +709,10 @@ def iter_ratios(family: str, m: int,
         raise ValueError("torus ratios equal the cylinder's; use the cylinder")
     kernel = _kernel_for(family)
     _check_guards(kernel, m, 1, guards)
-    mask = np.append(_no_uncovered_mask(kernel, m), False)  # not the filler row
-    start = np.array([_start_index(kernel, m, all_covered(m).code)])
+    rows = _covered_rows(kernel, m)
+    start = _start_indices(kernel, m, [all_covered(m).code])
     for _, C in _sweep(kernel, m, None, "count", start, None):
-        ratio = C[mask].sum()
+        ratio = C[rows].sum()
         C /= ratio
         yield float(ratio)
 
@@ -758,16 +766,7 @@ def crt_domination_polynomial(spec: GraphSpec, b: int = 16, workers: int = 1,
     moduli = select_moduli(spec.cells + 1, b)
     jobs = [(spec.family, spec.m, spec.n, p, guards.max_states,
              guards.max_memory_bytes) for p in moduli.primes]
-    if workers > 1 and len(jobs) > 1:
-        # imported here: it loads multiprocessing, which serial runs skip
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_mod_poly_worker, jobs))
-    else:
-        results = [_mod_poly_worker(job) for job in jobs]
     cap = spec.cells + 1
-    residues = []
-    for p, coeffs in results:
-        vec = list(coeffs) + [0] * (cap - len(coeffs))
-        residues.append((p, vec))
+    residues = [(p, list(coeffs) + [0] * (cap - len(coeffs)))
+                for p, coeffs in _pooled(_mod_poly_worker, jobs, workers)]
     return crt_reconstruct(residues).trimmed(), moduli

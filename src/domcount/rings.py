@@ -263,8 +263,11 @@ def lane_sum(lanes: np.ndarray, moduli: np.ndarray) -> np.ndarray:
     block = (2**63 - 1) // (int(primes.max()) - 1)
     while len(lanes) > 1:
         k = min(block, len(lanes))
-        lanes = np.pad(lanes, ((0, -len(lanes) % k), (0, 0), (0, 0)))
-        lanes = lanes.reshape(-1, k, *lanes.shape[1:]).sum(axis=1)
+        cut = len(lanes) - len(lanes) % k
+        sums = [lanes[:cut].reshape(-1, k, *lanes.shape[1:]).sum(axis=1)]
+        if cut < len(lanes):
+            sums.append(lanes[cut:].sum(axis=0, keepdims=True))
+        lanes = np.concatenate(sums)
         lanes[..., wrap:] %= primes
     return lanes.sum(axis=0)
 

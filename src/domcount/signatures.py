@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -162,11 +162,6 @@ def signature_codes(m: int, cyclic: bool = False) -> np.ndarray:
 def enumerate_signatures(m: int, cyclic: bool = False) -> list[Signature]:
     """The valid signatures of width m in ascending code order."""
     return [Signature(m, int(c)) for c in signature_codes(m, cyclic)]
-
-
-def iter_signatures(m: int, cyclic: bool = False) -> Iterator[Signature]:
-    for c in signature_codes(m, cyclic):
-        yield Signature(m, int(c))
 
 
 @lru_cache(maxsize=None)

@@ -126,6 +126,23 @@ def test_wide_short_tables_sweep_the_narrow_side(capsys):
         assert wide["rows"] == [list(col) for col in zip(*tall["rows"])]
 
 
+def test_transposable_boards_check_the_narrow_side(capsys):
+    # a transposable board is swept along its narrow side, so only that
+    # side must be at most 40
+    for family in ("grid", "king", "torus"):
+        code, wide, _ = run(["count", "--family", family, "-m", "41", "-n",
+                             "1"], capsys)
+        code2, tall, _ = run(["count", "--family", family, "-m", "1", "-n",
+                              "41"], capsys)
+        assert (code, code2) == (0, 0) and wide == tall
+    assert run(["count", "--family", "grid", "-m", "41", "-n", "1"],
+               capsys)[1] == "56804250945\n"
+    for family, m, n in (("grid", 41, 41), ("cylinder", 41, 3)):
+        code, _, err = run(["count", "--family", family, "-m", str(m), "-n",
+                            str(n)], capsys)
+        assert code == 4 and "40" in err
+
+
 def test_count_table_and_poly_load_neither_mpmath_nor_multiprocessing():
     script = (
         "import sys\n"

@@ -25,7 +25,8 @@ from domcount.oracle import brute_force_polynomial
 from domcount.rings import (EXACT, Polynomial, Ring, covering_primes,
                             eval_at_one, is_probable_prime, poly_add,
                             select_moduli)
-from domcount.signatures import Signature, all_covered, dihedral_orbits
+from domcount.signatures import (Signature, all_covered, dihedral_orbits,
+                                 signature_codes)
 from domcount.transfer import build_transfer_matrix
 
 
@@ -41,9 +42,15 @@ def test_graph_spec_validation():
     with pytest.raises(ValueError):
         GraphSpec("grid", 0, 2)
     with pytest.raises(ValueError):
-        GraphSpec("grid", 41, 2)
-    with pytest.raises(ValueError):
         GraphSpec("grid", 2, 0)
+    # the width swept is checked: the narrow side, save for the cylinder
+    # past two rows
+    for family in ("grid", "king", "torus", "cylinder"):
+        assert GraphSpec(family, 41, 2).m == 41
+        with pytest.raises(ValueError):
+            GraphSpec(family, 41, 41)
+    with pytest.raises(ValueError):
+        GraphSpec("cylinder", 41, 3)
 
 
 def test_single_row_from_covered_start():
@@ -245,13 +252,13 @@ def test_count_lanes_past_62_cells(appendix_poly, grid_totals):
     assert count_series("grid", 11, 11)[-1] == grid_totals[11]
 
 
-@pytest.mark.parametrize("m, n", [(6, 6), (5, 13)])
+@pytest.mark.parametrize("m, n", [(6, 6), (5, 13), (5, 14)])
 def test_torus_start_blocks_do_not_change_the_result(m, n):
-    # 5x13 has 65 cells, so its counts run in the int64 lane and a prime lane
+    # 5x13 has 65 cells, so its counts run in the int64 lane and a prime
+    # lane; 5x14 has 70, so its exact polynomial carries two lanes per start
     whole = (count_series("torus", m, n), gamma_series("torus", m, n),
              mincount_series("torus", m, n))
-    rows = max(len(plan.starts) - 1
-               for plan in engine._gather_plans("cylinder", m))
+    rows = max(plan.rows for plan in engine._gather_plans("cylinder", m))
     # two state arrays of int64: room for nine starts of one value each
     guards = Guards(max_memory_bytes=9 * 2 * rows * 8)
     assert 1 < engine._check_guards("cylinder", m, 1, guards) < \
@@ -259,6 +266,45 @@ def test_torus_start_blocks_do_not_change_the_result(m, n):
     assert (count_series("torus", m, n, guards=guards),
             gamma_series("torus", m, n, guards=guards),
             mincount_series("torus", m, n, guards=guards)) == whole
+    # poly blocks: one start each, on one process and on two, against the
+    # default blocks; the coefficients sum to the independent count
+    for ring in (EXACT, Ring(2147483647)):
+        moduli, _ = engine._plan_lanes("cylinder", m, m * n, "poly",
+                                       ring.modulus, DEFAULT_GUARDS)
+        one = Guards(max_memory_bytes=2 * rows * len(moduli) * (m * n + 2) * 8)
+        assert engine._plan_lanes("cylinder", m, m * n, "poly", ring.modulus,
+                                  one)[1] == 1
+        series = polynomial_series("torus", m, n, ring=ring)
+        p = ring.modulus or 1 << 200  # the exact totals stay below 2^200
+        assert [sum(poly.coefficients) % p for poly in series] == \
+            [total % p for total in whole[0]]
+        for guards, workers in ((one, 1), (one, 2), (DEFAULT_GUARDS, 2)):
+            assert polynomial_series("torus", m, n, ring=ring, guards=guards,
+                                     workers=workers) == series
+
+
+def test_poly_blocks_hold_several_starts():
+    # 2 MiB of state array: 8 starts at torus 7x7, all 5 orbits at width 2
+    for m, n, starts in ((7, 7, 8), (2, 30, 5)):
+        _, block = engine._plan_lanes("cylinder", m, m * n, "poly", None,
+                                      DEFAULT_GUARDS)
+        assert min(block, len(dihedral_orbits(m))) == starts
+
+
+def test_torus_blocks_report_progress_as_they_finish(monkeypatch):
+    events = []
+    run = engine._run_block
+    monkeypatch.setattr(engine, "_run_block",
+                        lambda job: (events.append("run"), run(job))[1])
+    m, n = 4, 8
+    rows = max(plan.rows for plan in engine._gather_plans("cylinder", m))
+    one = Guards(max_memory_bytes=2 * rows * (m * n + 2) * 8)
+    blocks = len(dihedral_orbits(m))
+    series = polynomial_series("torus", m, n, guards=one,
+                               progress=lambda *call: events.append(call))
+    assert events == [event for k in range(1, blocks + 1)
+                      for event in ("run", (k, blocks, "block"))]
+    assert series == polynomial_series("torus", m, n)
 
 
 def test_crt_pipeline_reconstructs_the_exact_polynomial():
@@ -356,23 +402,49 @@ def test_moduli_past_the_fan_in_bound_are_rejected(family, limit):
 
 
 @pytest.mark.parametrize("kernel", ["grid", "cylinder", "king"])
-def test_poly_layers_list_every_gathered_row_once(kernel):
+def test_column_plans_are_prefix_layers(kernel):
     for m in range(1, 8):
-        plans = engine._gather_plans(kernel, m)
-        columns = engine._poly_layers(kernel, m)
-        assert len(columns) == len(plans)
-        for plan, layers in zip(plans, columns):
-            groups = len(plan.starts) - 1
-            assert layers[0][0].tolist() == list(range(groups))
-            assert len(layers) == plan.fan_in
-            for dst, _, _ in layers:
-                assert (np.diff(dst) > 0).all()  # one row per destination
-            dst = np.repeat(np.arange(groups), np.diff(plan.starts))
-            want = sorted(zip(dst.tolist(), plan.src.tolist(),
-                              plan.plain.tolist()))
-            got = sorted(triple for layer in layers
-                         for triple in zip(*(part.tolist() for part in layer)))
-            assert got == want
+        codes, index, plans = engine._compiled(kernel, m)
+        full = signature_codes(m, cyclic=kernel == "cylinder")
+        assert codes.tolist() == \
+            (full * 3 + 1 if kernel == "king" else full).tolist()
+        assert sorted(index.tolist()) == list(range(len(codes)))
+        row_codes = np.empty_like(codes)  # the full-row codes in state order
+        row_codes[index] = codes
+        dom = row_codes
+        for c, plan in enumerate(plans, 1):
+            sizes = [size for _, size in plan.layers]
+            assert sizes == sorted(sizes, reverse=True)
+            assert [lo for lo, _ in plan.layers] == \
+                np.cumsum([0, *sizes[:-1]]).tolist()
+            assert len(plan.src) == len(plan.plain) == sum(sizes)
+            valid, plain_dst, occ_dst = engine._column_images(kernel, m, c, dom)
+            # layer k gathers row k of destinations 0..size-1: the code each
+            # gathered row moves to names its destination consistently
+            dst_code = {}
+            got = []
+            for lo, size in plan.layers:
+                for d in range(size):
+                    s, plain = int(plan.src[lo + d]), int(plan.plain[lo + d])
+                    if s == len(dom):  # the filler row
+                        assert size == plan.rows and plain == 0
+                        continue
+                    code = int(plain_dst[s] if plain else occ_dst[s])
+                    assert dst_code.setdefault(d, code) == code
+                    got.append((code, s, plain))
+            want = [(int(code), s, 1) for s, code in
+                    zip(np.flatnonzero(valid), plain_dst[valid])]
+            want += [(int(code), s, 0) for s, code in enumerate(occ_dst)]
+            assert sorted(got) == sorted(want)  # every move exactly once
+            assert len(set(dst_code.values())) == len(dst_code)
+            # the filler row is last and gathers the filler row
+            assert plan.rows - 1 not in dst_code
+            assert plan.src[plan.rows - 1] == len(dom)
+            if c < m:
+                assert sorted(dst_code) == list(range(plan.rows - 1))
+                dom = np.array([dst_code[d] for d in range(plan.rows - 1)])
+            else:
+                assert all(row_codes[d] == code for d, code in dst_code.items())
 
 
 def _largest_admissible_prime(kernel, m):
@@ -414,5 +486,5 @@ def test_run_sweep_past_66_cells_keeps_exact_states():
 
 def test_progress_reports_once_per_row():
     calls = []
-    polynomial_series("grid", 2, 3, progress=lambda r, n: calls.append((r, n)))
-    assert calls == [(1, 3), (2, 3), (3, 3)]
+    polynomial_series("grid", 2, 3, progress=lambda *call: calls.append(call))
+    assert calls == [(1, 3, "row"), (2, 3, "row"), (3, 3, "row")]
