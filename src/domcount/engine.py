@@ -61,7 +61,6 @@ _COUNT_INT64_CELLS = 62
 _LANE_PRIME_BITS = 59      # exact-run residue primes lie below 2^59
 _GATHER_BYTES = 256 << 10  # gather chunk size of every column step
 _POLY_BLOCK_BYTES = 2 << 20  # state array of one block of poly starts
-_TAIL_ROWS = 8 << 10  # padded later layers past this lose (1.5x with degrees)
 
 _INF = 1 << 62  # min-plus sentinel; survives adding one per placed vertex
 
@@ -329,12 +328,12 @@ def _step(D: Optional[np.ndarray], C: Optional[np.ndarray], plan: _GatherPlan,
                                               if a is not None)))
     for a in range(0, n0, chunk):
         b = min(a + chunk, n0)
-        # the later layers by blocks (layers, destinations a..): one for
-        # all while, padded, they fit a chunk and _TAIL_ROWS, else one each
+        # the later layers in one padded block while it fits a chunk (half
+        # one for counts alone, which save the fewest calls), else one each
         pieces = [(lo + a, lo + min(b, n))
                   for lo, n in plan.layers[1:] if n > a]
-        if pieces and (plan.fan_in - 1) * plan.layers[1][1] <= min(
-                chunk, _TAIL_ROWS * (2 + (D is not None)) // 2):
+        if pieces and (plan.fan_in - 1) * plan.layers[1][1] <= chunk // (
+                1 + (D is None and not poly)):
             blocks = [plan.tail]
         else:
             blocks = [(plan.src[None, r0:r1], plan.plain[None, r0:r1])
@@ -558,6 +557,8 @@ def _series(family: str, m: int, n: int, mode: str, guards: Guards,
     ("block"), since the rows of a block complete only with its last.
     """
     kernel = _kernel_for(family)
+    # the guards first: the lookups below compile the column plans
+    moduli, block = _plan_lanes(kernel, m, m * n, mode, modulus, guards)
     if family == "torus":
         orbits = dihedral_orbits(m)
         starts = _start_indices(kernel, m, [code for code, _ in orbits])
@@ -567,7 +568,6 @@ def _series(family: str, m: int, n: int, mode: str, guards: Guards,
         starts = _start_indices(kernel, m, [all_covered(m).code])
         pick_rows = _covered_rows(kernel, m)
         pick_cols = np.zeros_like(pick_rows)
-    moduli, block = _plan_lanes(kernel, m, m * n, mode, modulus, guards)
     jobs = []
     for b0 in range(0, len(starts), block):
         here = (pick_cols >= b0) & (pick_cols < b0 + block)
@@ -614,9 +614,9 @@ def run_sweep(spec: GraphSpec, start_signature: Signature,
         raise ValueError(f"start signature {start_signature} is not "
                          f"{'cyclic-' if cyclic else ''}valid")
     kernel = _kernel_for(spec.family)
-    idx = _start_indices(kernel, spec.m, [start_signature.code])
     moduli, _ = _plan_lanes(kernel, spec.m, spec.m * rows, "poly",
                             ring.modulus, guards)
+    idx = _start_indices(kernel, spec.m, [start_signature.code])
     for _, V in _sweep(kernel, spec.m, rows, "poly", idx, moduli):
         pass
     codes, index, _ = _compiled(kernel, spec.m)

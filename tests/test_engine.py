@@ -242,6 +242,26 @@ def test_guards_trip_before_big_allocations():
     assert DEFAULT_GUARDS.max_states > 10**6
 
 
+def test_state_guard_trips_before_any_compile(monkeypatch):
+    def compiled(kernel, m):
+        raise AssertionError(f"compiled {kernel} width {m} before the guard")
+
+    monkeypatch.setattr(engine, "_compiled", compiled)
+    small = Guards(max_states=100)
+    calls = [lambda: count_series("grid", 12, 2, small),
+             lambda: gamma_series("king", 9, 2, small),
+             lambda: mincount_series("torus", 9, 9, small),
+             lambda: polynomial_series("torus", 9, 9, guards=small),
+             lambda: domination_polynomial(GraphSpec("cylinder", 9, 4),
+                                           guards=small),
+             lambda: run_sweep(GraphSpec("grid", 9, 3), all_covered(9),
+                               guards=small),
+             lambda: next(engine.iter_ratios("grid", 9, small))]
+    for call in calls:
+        with pytest.raises(GuardExceeded):
+            call()
+
+
 def test_count_lanes_past_62_cells(appendix_poly, grid_totals):
     # 64 cells: the int64 lane and one prime lane for the counts of the
     # torus 8x8 trace
