@@ -4,7 +4,6 @@ from .engine import (
     GraphSpec,
     Guards,
     count_dominating,
-    crt_domination_polynomial,
     domination_polynomial,
     run_sweep,
     torus_polynomial,
@@ -27,7 +26,6 @@ __all__ = [
     "VerificationError",
     "count_dominating",
     "count_signatures",
-    "crt_domination_polynomial",
     "crt_reconstruct",
     "domination_polynomial",
     "enumerate_signatures",

@@ -43,18 +43,12 @@ class RunRequest:
     m_range: Optional[tuple[int, int]] = None
     n_range: Optional[tuple[int, int]] = None
     modulus: Optional[int] = None
-    crt: bool = False
-    bits: int = 16
     fmt: str = "text"
     workers: int = 0
     max_states: int = engine.DEFAULT_GUARDS.max_states
     max_memory: int = engine.DEFAULT_GUARDS.max_memory_bytes
 
     def __post_init__(self) -> None:
-        if self.modulus is not None and self.crt:
-            raise ValueError("pick one of --mod and --crt")
-        if not 8 <= self.bits <= 31:
-            raise ValueError("--bits must be in 8..31")
         for rng in (self.m_range, self.n_range):
             if rng is not None and rng[0] > rng[1]:
                 raise ValueError("empty range")
@@ -118,10 +112,7 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--workers", type=int, default=0,
                    help="0 = use available parallelism")
-    ring = p.add_mutually_exclusive_group()
-    ring.add_argument("--mod", type=int, default=None, metavar="P")
-    ring.add_argument("--crt", action="store_true")
-    p.add_argument("--bits", type=int, default=16)
+    p.add_argument("--mod", type=int, default=None, metavar="P")
     p.add_argument("--format", default="text", choices=("text", "json", "csv"))
 
     p = sub.add_parser("count", help="number of dominating sets")
@@ -163,8 +154,6 @@ def _request_from_args(args: argparse.Namespace) -> RunRequest:
         m_range=_parse_range(args.m_range) if getattr(args, "m_range", None) else None,
         n_range=_parse_range(args.n_range) if getattr(args, "n_range", None) else None,
         modulus=getattr(args, "mod", None),
-        crt=getattr(args, "crt", False),
-        bits=getattr(args, "bits", 16),
         fmt=getattr(args, "format", "text"),
         workers=getattr(args, "workers", 0),
         max_states=getattr(args, "max_states", engine.DEFAULT_GUARDS.max_states),
@@ -198,14 +187,9 @@ def _progress_printer(cells: int) -> Optional[Callable[[int, int, str], None]]:
 
 def cmd_poly(req: RunRequest) -> int:
     spec = engine.GraphSpec(req.family, req.m, req.n)
-    if req.crt:
-        poly, _ = engine.crt_domination_polynomial(
-            spec, b=req.bits, workers=req.effective_workers, guards=req.guards)
-    else:
-        poly = engine.domination_polynomial(
-            spec, ring=req.ring, guards=req.guards,
-            workers=req.effective_workers,
-            progress=_progress_printer(spec.cells))
+    poly = engine.domination_polynomial(
+        spec, ring=req.ring, guards=req.guards, workers=req.effective_workers,
+        progress=_progress_printer(spec.cells))
     sys.stdout.write(_render_poly(poly, req.fmt))
     return EXIT_OK
 

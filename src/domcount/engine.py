@@ -21,8 +21,11 @@ recombined by the Chinese remainder theorem; ``--mod`` runs one lane of its
 prime.  Prime lanes are reduced only when another step could pass 2^63, and
 at every row end.  Growth runs counts in one float64 lane, renormalized
 every row.  One row loop, :func:`_sweep`, runs every mode on a block of
-starts (poly folds them into the lane axis); every series goes through
-:func:`_series`, the torus as its trace over one start per dihedral orbit.
+starts and lanes (poly folds the starts into the lane axis); every series
+goes through :func:`_series`, the torus as its trace over one start per
+dihedral orbit.  Blocks that do not fit the memory guard together run
+apart, on a process pool: each returns per-row lane sums (and its least
+degree), which the parent joins before one readout.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import GuardExceeded
-from .rings import (EXACT, Polynomial, Ring, covering_primes, crt_reconstruct,
-                    lane_sum, lane_values, prime_lanes, select_moduli)
+from .rings import (EXACT, Polynomial, Ring, covering_primes, lane_sum,
+                    lane_values, prime_lanes)
 from .signatures import (
     MAX_WIDTH,
     Signature,
@@ -382,10 +385,14 @@ def _reduce_lanes(lanes: np.ndarray, primes: np.ndarray, top: int,
 
 # ------------------------------------------------------------ sweep driver
 
-def _check_guards(kernel: str, m: int, values: int, guards: Guards) -> int:
-    """`values` is the number of int64 values each state carries per start;
-    returns how many starts fit two state arrays over the widest compiled
-    column domain into max_memory_bytes (at least one, or GuardExceeded)."""
+def _check_guards(kernel: str, m: int, guards: Guards, per_lane: int,
+                  lanes: int = 1, shared: int = 0) -> tuple[int, int]:
+    """The largest block of starts and lanes whose two state arrays over
+    the widest compiled column domain fit max_memory_bytes, as (starts,
+    lanes): every lane of as many starts as fit, else as many lanes of one
+    start.  A start carries `shared` int64 values per state plus `per_lane`
+    for each of its `lanes`.  Raises GuardExceeded when one lane of one
+    start does not fit."""
     # kinked mid-row domains never exceed three times the full-row count
     kind = "cyclic" if kernel == "cylinder" else "plain"
     bound = 3 * count_signatures(m + (kernel == "king"), kind)
@@ -393,13 +400,23 @@ def _check_guards(kernel: str, m: int, values: int, guards: Guards) -> int:
         raise GuardExceeded(
             f"state bound {bound} for width {m} exceeds max_states="
             f"{guards.max_states}")
-    rows = max(plan.rows for plan in _gather_plans(kernel, m))
-    estimate = 2 * rows * values * 8
-    if estimate > guards.max_memory_bytes:
-        raise GuardExceeded(
-            f"estimated working memory {estimate} bytes exceeds "
-            f"max_memory_bytes={guards.max_memory_bytes}")
-    return guards.max_memory_bytes // estimate
+
+    def fit(rows: int) -> int:  # int64 values per state that fit
+        estimate = 2 * rows * (shared + per_lane) * 8
+        if estimate > guards.max_memory_bytes:
+            raise GuardExceeded(
+                f"estimated working memory of one lane of one start, at "
+                f"least {estimate} bytes, exceeds max_memory_bytes="
+                f"{guards.max_memory_bytes}")
+        return guards.max_memory_bytes // (2 * rows * 8)
+
+    # the last column's destinations, the full-row domain, bound the widest
+    # from below: a block that cannot fit them is refused uncompiled
+    fit(count_signatures(m, kind) + 1)
+    room = fit(max(plan.rows for plan in _gather_plans(kernel, m)))
+    if shared + lanes * per_lane <= room:
+        return room // (shared + lanes * per_lane), lanes
+    return 1, (room - shared) // per_lane
 
 
 @lru_cache(maxsize=None)
@@ -418,8 +435,9 @@ def _lane_primes(bits: int) -> tuple[int, ...]:
 
 def _plan_lanes(kernel: str, m: int, cells: int, mode: str,
                 modulus: Optional[int], guards: Guards,
-                ) -> tuple[Optional[np.ndarray], int]:
-    """Residue moduli, one per lane, and how many starts one sweep carries.
+                ) -> tuple[Optional[np.ndarray], tuple[int, int]]:
+    """Residue moduli, one per lane, and the block one sweep carries:
+    (starts, lanes).
 
     An exact sweep carries the int64 lane first, modulus 0: it is never
     reduced, and since NumPy's integer arithmetic wraps, it holds every
@@ -429,8 +447,9 @@ def _plan_lanes(kernel: str, m: int, cells: int, mode: str,
     bounds every value.  `modulus` gives one lane of that prime; min-plus
     sweeps carry no moduli (None).  A step adds up to fan-in residues and a
     readout block at least two, so a prime P is admissible while
-    max(fan-in, 2)*(P-1) < 2^63.  A poly block keeps its state array near
-    _POLY_BLOCK_BYTES (the step is memory-bound), and none passes the guard.
+    max(fan-in, 2)*(P-1) < 2^63.  A block holds what
+    :func:`_check_guards` fits; a poly block keeps its state array near
+    _POLY_BLOCK_BYTES (the step is memory-bound).
     """
     int64_cells = _POLY_INT64_CELLS if mode == "poly" else _COUNT_INT64_CELLS
     if mode == "minplus":
@@ -441,15 +460,16 @@ def _plan_lanes(kernel: str, m: int, cells: int, mode: str,
         moduli = (0,)
     else:
         moduli = (0, *_lane_primes(cells + 1 - 64))
-    lanes = max(len(moduli), 1)
-    values = lanes * (cells + 2) if mode == "poly" else \
-        (mode != "count") + (mode != "minplus") * lanes
-    block = _check_guards(kernel, m, values, guards)
+    per_lane = cells + 2 if mode == "poly" else int(mode != "minplus")
+    block, width = _check_guards(kernel, m, guards, per_lane,
+                                 max(len(moduli), 1),
+                                 int(mode in ("minplus", "mincount")))
     if mode == "poly":
         rows = max(plan.rows for plan in _gather_plans(kernel, m))
-        block = max(1, min(block, _POLY_BLOCK_BYTES // (8 * rows * values)))
+        block = max(1, min(block, _POLY_BLOCK_BYTES // (8 * rows * width
+                                                        * per_lane)))
     if not moduli:
-        return None, block
+        return None, (block, width)
     fan_in = max(2, *(plan.fan_in for plan in _gather_plans(kernel, m)))
     limit = (2**63 - 1) // fan_in + 1
     if max(moduli) > limit:
@@ -457,7 +477,7 @@ def _plan_lanes(kernel: str, m: int, cells: int, mode: str,
             f"modulus {max(moduli)} is too large: a {kernel} sweep of width "
             f"{m} adds up to {fan_in} residues, so moduli up to {limit} are "
             f"admissible")
-    return np.array(moduli, dtype=np.int64), block
+    return np.array(moduli, dtype=np.int64), (block, width)
 
 
 def _sweep(kernel: str, m: int, n: Optional[int], mode: str,
@@ -500,14 +520,27 @@ def _sweep(kernel: str, m: int, n: Optional[int], mode: str,
 
 
 def _block_rows(job: tuple) -> Iterator[tuple]:
-    """Sweep one block of starts, yielding the picked (min degrees, values)
-    after each row: degrees (picks,), values counts (picks, lanes) or poly
-    coefficients (picks, degrees, lanes); a part the mode does not carry is
-    None.  Pick k is state rows[k] of start cols[k]."""
+    """Sweep one block of starts and lanes, yielding after each row the
+    partial readout of its picked entries: their least degree, and their
+    lane sums, (degrees, lanes) for poly and (1, lanes) for counts, in
+    mincount of the picks at that degree; a part the mode does not carry
+    is None.  Pick k is state rows[k] of start cols[k]."""
     kernel, m, n, mode, moduli, starts, rows, cols = job
     for D, C in _sweep(kernel, m, n, mode, starts, moduli):
-        yield (None if D is None else D[rows, cols],
-               None if C is None else C[rows, cols])
+        deg = least = vals = None
+        if D is not None:
+            deg = D[rows, cols]
+            least = int(deg.min())
+        if C is not None:
+            vals = C[rows, cols]
+        del D, C  # held here, this row's arrays would outlive the next row
+        if vals is None:
+            yield least, None
+            continue
+        if mode == "mincount":
+            vals = vals[deg == least]
+        yield least, lane_sum(vals if mode == "poly" else vals[:, None],
+                              moduli)
 
 
 def _run_block(job) -> list[tuple]:
@@ -527,19 +560,22 @@ def _pooled(work: Callable, jobs: list, procs: int) -> Iterator:
         yield from pool.map(work, jobs)
 
 
-def _aggregate(mode: str, deg: Optional[np.ndarray], vals: Optional[np.ndarray],
-               moduli: Optional[np.ndarray]):
+def _aggregate(mode: str, parts: list[tuple], groups: list):
     """Coefficients, total, minimum degree, or (minimum degree, its count)
-    over picked entries, shaped as :func:`_block_rows` yields them."""
-    if mode == "poly":
-        return lane_values(lane_sum(vals, moduli), moduli)
+    from one row's partial readouts, block by block of starts and, within
+    one, group by group of lane moduli `groups`: blocks of starts keep the
+    least degree and add their lane sums at it, and groups of lanes join
+    on the lane axis before one readout."""
+    least = None if parts[0][0] is None else min(g for g, _ in parts)
     if mode == "minplus":
-        return int(deg.min())
-    if mode == "mincount":
-        g = int(deg.min())
-        vals = vals[deg == g]
-    total = lane_values(lane_sum(vals[:, None], moduli), moduli)[0]
-    return total if mode == "count" else (g, total)
+        return least
+    sums = [lane_sum(np.stack([lanes for g, lanes in parts[j::len(groups)]
+                               if g == least]), group)
+            for j, group in enumerate(groups)]
+    values = lane_values(np.concatenate(sums, axis=-1), np.concatenate(groups))
+    if mode == "poly":
+        return values
+    return values[0] if mode == "count" else (least, values[0])
 
 
 def _series(family: str, m: int, n: int, mode: str, guards: Guards,
@@ -551,14 +587,15 @@ def _series(family: str, m: int, n: int, mode: str, guards: Guards,
     row and read every state without an uncovered cell.  The torus runs one
     start per dihedral orbit and reads its diagonal entry once per orbit
     member: rotating or reflecting a start permutes rows and columns of the
-    transfer operator alike.  Starts run in blocks sized by
+    transfer operator alike.  Starts and lanes run in blocks sized by
     :func:`_plan_lanes`, on up to `workers` processes; `progress(done, total,
     unit)` follows each row ("row") of one block, or each of several blocks
     ("block"), since the rows of a block complete only with its last.
     """
     kernel = _kernel_for(family)
     # the guards first: the lookups below compile the column plans
-    moduli, block = _plan_lanes(kernel, m, m * n, mode, modulus, guards)
+    moduli, (block, width) = _plan_lanes(kernel, m, m * n, mode, modulus,
+                                         guards)
     if family == "torus":
         orbits = dihedral_orbits(m)
         starts = _start_indices(kernel, m, [code for code, _ in orbits])
@@ -568,11 +605,13 @@ def _series(family: str, m: int, n: int, mode: str, guards: Guards,
         starts = _start_indices(kernel, m, [all_covered(m).code])
         pick_rows = _covered_rows(kernel, m)
         pick_cols = np.zeros_like(pick_rows)
+    groups = [None] if moduli is None else \
+        [moduli[k:k + width] for k in range(0, len(moduli), width)]
     jobs = []
     for b0 in range(0, len(starts), block):
         here = (pick_cols >= b0) & (pick_cols < b0 + block)
-        jobs.append((kernel, m, n, mode, moduli, starts[b0:b0 + block],
-                     pick_rows[here], pick_cols[here] - b0))
+        jobs += [(kernel, m, n, mode, group, starts[b0:b0 + block],
+                  pick_rows[here], pick_cols[here] - b0) for group in groups]
 
     def reported(items, unit, total):
         for k, item in enumerate(items, 1):
@@ -581,14 +620,12 @@ def _series(family: str, m: int, n: int, mode: str, guards: Guards,
             yield item
 
     if len(jobs) == 1:
-        rows = reported(_block_rows(jobs[0]), "row", n)
-    else:  # each row's picks, joined over the blocks
-        parts = list(reported(_pooled(_run_block, jobs, workers), "block",
-                              len(jobs)))
-        rows = ([None if part[0] is None else np.concatenate(part)
-                 for part in zip(*row)] for row in zip(*parts))
-    for deg, vals in rows:
-        yield _aggregate(mode, deg, vals, moduli)
+        rows = ([part] for part in reported(_block_rows(jobs[0]), "row", n))
+    else:  # each row's partial readouts over the blocks
+        rows = zip(*reported(_pooled(_run_block, jobs, workers), "block",
+                             len(jobs)))
+    for parts in rows:
+        yield _aggregate(mode, parts, groups)
 
 
 # ------------------------------------------------------------- public API
@@ -614,13 +651,17 @@ def run_sweep(spec: GraphSpec, start_signature: Signature,
         raise ValueError(f"start signature {start_signature} is not "
                          f"{'cyclic-' if cyclic else ''}valid")
     kernel = _kernel_for(spec.family)
-    moduli, _ = _plan_lanes(kernel, spec.m, spec.m * rows, "poly",
-                            ring.modulus, guards)
+    moduli, (_, width) = _plan_lanes(kernel, spec.m, spec.m * rows, "poly",
+                                     ring.modulus, guards)
     idx = _start_indices(kernel, spec.m, [start_signature.code])
-    for _, V in _sweep(kernel, spec.m, rows, "poly", idx, moduli):
-        pass
     codes, index, _ = _compiled(kernel, spec.m)
-    V = V[index, 0]  # code order, no filler row; (states, degrees, lanes)
+    parts = []  # code order, no filler row; (states, degrees, lanes)
+    for lo in range(0, len(moduli), width):  # one group of lanes at a time
+        for _, V in _sweep(kernel, spec.m, rows, "poly", idx,
+                           moduli[lo:lo + width]):
+            pass
+        parts.append(V[index, 0])
+    V = np.concatenate(parts, axis=-1)
     flat, k = lane_values(V.reshape(-1, V.shape[2]), moduli), V.shape[1]
     result: dict[int, Polynomial] = {}
     for i, code in enumerate(codes // 3 if kernel == "king" else codes):
@@ -634,9 +675,10 @@ def polynomial_series(family: str, m: int, n_max: int, ring: Ring = EXACT,
                       guards: Guards = DEFAULT_GUARDS,
                       progress: Optional[Callable[[int, int, str], None]] = None,
                       workers: int = 1) -> list[Polynomial]:
-    """Domination polynomials of family m x n for every n = 1..n_max, torus
-    start orbits in blocks on up to `workers` processes; `progress(done,
-    total, unit)` reports rows, or the blocks of a torus sweep."""
+    """Domination polynomials of family m x n for every n = 1..n_max, blocks
+    of torus start orbits or of lanes on up to `workers` processes;
+    `progress(done, total, unit)` reports rows, or the blocks of a split
+    sweep."""
     return [Polynomial.from_coefficients(coeffs, ring).trimmed()
             for coeffs in _series(family, m, n_max, "poly", guards,
                                   ring.modulus, workers, progress)]
@@ -708,7 +750,7 @@ def iter_ratios(family: str, m: int,
     if family == "torus":
         raise ValueError("torus ratios equal the cylinder's; use the cylinder")
     kernel = _kernel_for(family)
-    _check_guards(kernel, m, 1, guards)
+    _check_guards(kernel, m, guards, 1)
     rows = _covered_rows(kernel, m)
     start = _start_indices(kernel, m, [all_covered(m).code])
     for _, C in _sweep(kernel, m, None, "count", start, None):
@@ -743,30 +785,3 @@ def torus_polynomial(m: int, n: int, ring: Ring = EXACT,
     """Domination polynomial of the m x n torus (trace over cyclic starts)."""
     return domination_polynomial(GraphSpec("torus", m, n), ring=ring,
                                  guards=guards, workers=workers)
-
-
-# ---------------------------------------------------------------- multi-mod
-
-def _mod_poly_worker(args):
-    family, m, n, p, max_states, max_memory = args
-    guards = Guards(max_states, max_memory)
-    spec = GraphSpec(family, m, n)
-    poly = domination_polynomial(spec, ring=Ring(p), guards=guards)
-    return p, poly.coefficients
-
-
-def crt_domination_polynomial(spec: GraphSpec, b: int = 16, workers: int = 1,
-                              guards: Guards = DEFAULT_GUARDS):
-    """Exact polynomial via independent mod-p sweeps plus reconstruction.
-
-    Returns (polynomial, modulus set).  The prime product covers
-    2^(cells+1): coefficients are at most C(cells, k) < 2^cells, so one bit
-    of slack suffices.
-    """
-    moduli = select_moduli(spec.cells + 1, b)
-    jobs = [(spec.family, spec.m, spec.n, p, guards.max_states,
-             guards.max_memory_bytes) for p in moduli.primes]
-    cap = spec.cells + 1
-    residues = [(p, list(coeffs) + [0] * (cap - len(coeffs)))
-                for p, coeffs in _pooled(_mod_poly_worker, jobs, workers)]
-    return crt_reconstruct(residues).trimmed(), moduli

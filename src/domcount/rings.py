@@ -5,7 +5,7 @@ modulo a fixed prime.  The sweep never multiplies two general polynomials;
 everything reduces to coefficient shifts and adds, so that is all this module
 offers, plus the multi-modular machinery (prime selection below a bit width,
 Chinese-Remainder reconstruction, overflow-safe sums of int64 residue
-lanes) for recombining mod-p runs into exact results.
+lanes) for recombining the residue lanes of one sweep into exact results.
 """
 
 from __future__ import annotations
@@ -115,14 +115,12 @@ def poly_add(a: Polynomial, b: Polynomial) -> Polynomial:
     return Polynomial(ring, coeffs)
 
 
-def poly_shift(a: Polynomial) -> Polynomial:
-    """Multiply by z: every degree goes up by one."""
-    return Polynomial(a.ring, (0,) + a.coefficients)
-
-
 def poly_scale_shift_add(acc: Polynomial, src: Polynomial, occupy: bool) -> Polynomial:
-    """acc + src, with src shifted by one degree when occupy is set."""
-    return poly_add(acc, poly_shift(src) if occupy else src)
+    """acc + src, with src multiplied by z (every degree one up) when
+    occupy is set."""
+    if occupy:
+        src = Polynomial(src.ring, (0,) + src.coefficients)
+    return poly_add(acc, src)
 
 
 def eval_at_one(a: Polynomial) -> int:
@@ -281,10 +279,3 @@ def lane_values(lanes: np.ndarray, moduli: np.ndarray) -> list[int]:
     if len(residues) == 1:
         return residues[0][1]
     return list(crt_reconstruct(residues).coefficients)
-
-
-def residues_of(poly: Polynomial, primes: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
-    """Split an exact polynomial into per-prime residue vectors."""
-    if poly.ring.modulus is not None:
-        raise ValueError("residue splitting needs an exact-ring polynomial")
-    return [(p, tuple(c % p for c in poly.coefficients)) for p in primes]

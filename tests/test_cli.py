@@ -53,16 +53,6 @@ def test_poly_mod(capsys):
     assert int(got["coefficients"][0]) == exact.coefficient(3) % 7
 
 
-def test_poly_crt_equals_exact(capsys):
-    code, crt_out, _ = run(["poly", "--family", "grid", "-m", "4", "-n", "4",
-                            "--crt"], capsys)
-    assert code == 0
-    code, plain_out, _ = run(["poly", "--family", "grid", "-m", "4", "-n", "4"],
-                             capsys)
-    assert code == 0
-    assert crt_out == plain_out
-
-
 # a row checkpoint is the state map after that row, and no unreduced value
 # may reach one: after every row, the `--mod P` map is the exact map with
 # each coefficient reduced mod P

@@ -11,7 +11,6 @@ from domcount.engine import (
     Guards,
     count_dominating,
     count_series,
-    crt_domination_polynomial,
     domination_polynomial,
     gamma_series,
     iter_counts,
@@ -23,8 +22,8 @@ from domcount.engine import (
 from domcount.errors import GuardExceeded
 from domcount.oracle import brute_force_polynomial
 from domcount.rings import (EXACT, Polynomial, Ring, covering_primes,
-                            eval_at_one, is_probable_prime, poly_add,
-                            select_moduli)
+                            crt_reconstruct, eval_at_one, is_probable_prime,
+                            poly_add, select_moduli)
 from domcount.signatures import (Signature, all_covered, dihedral_orbits,
                                  signature_codes)
 from domcount.transfer import build_transfer_matrix
@@ -248,6 +247,9 @@ def test_state_guard_trips_before_any_compile(monkeypatch):
 
     monkeypatch.setattr(engine, "_compiled", compiled)
     small = Guards(max_states=100)
+    # 1000 bytes hold no lane of the full-row domain, a lower bound on the
+    # widest column's
+    tiny = Guards(max_memory_bytes=1000)
     calls = [lambda: count_series("grid", 12, 2, small),
              lambda: gamma_series("king", 9, 2, small),
              lambda: mincount_series("torus", 9, 9, small),
@@ -256,7 +258,13 @@ def test_state_guard_trips_before_any_compile(monkeypatch):
                                            guards=small),
              lambda: run_sweep(GraphSpec("grid", 9, 3), all_covered(9),
                                guards=small),
-             lambda: next(engine.iter_ratios("grid", 9, small))]
+             lambda: next(engine.iter_ratios("grid", 9, small)),
+             lambda: count_series("grid", 14, 14, tiny),
+             lambda: polynomial_series("torus", 9, 9, guards=tiny),
+             lambda: domination_polynomial(GraphSpec("grid", 9, 9),
+                                           guards=tiny),
+             lambda: run_sweep(GraphSpec("grid", 9, 3), all_covered(9),
+                               guards=tiny)]
     for call in calls:
         with pytest.raises(GuardExceeded):
             call()
@@ -281,8 +289,8 @@ def test_torus_start_blocks_do_not_change_the_result(m, n):
     rows = max(plan.rows for plan in engine._gather_plans("cylinder", m))
     # two state arrays of int64: room for nine starts of one value each
     guards = Guards(max_memory_bytes=9 * 2 * rows * 8)
-    assert 1 < engine._check_guards("cylinder", m, 1, guards) < \
-        len(dihedral_orbits(m))
+    starts, _ = engine._check_guards("cylinder", m, guards, 1)
+    assert 1 < starts < len(dihedral_orbits(m))
     assert (count_series("torus", m, n, guards=guards),
             gamma_series("torus", m, n, guards=guards),
             mincount_series("torus", m, n, guards=guards)) == whole
@@ -293,7 +301,7 @@ def test_torus_start_blocks_do_not_change_the_result(m, n):
                                        ring.modulus, DEFAULT_GUARDS)
         one = Guards(max_memory_bytes=2 * rows * len(moduli) * (m * n + 2) * 8)
         assert engine._plan_lanes("cylinder", m, m * n, "poly", ring.modulus,
-                                  one)[1] == 1
+                                  one)[1] == (1, len(moduli))
         series = polynomial_series("torus", m, n, ring=ring)
         p = ring.modulus or 1 << 200  # the exact totals stay below 2^200
         assert [sum(poly.coefficients) % p for poly in series] == \
@@ -306,9 +314,52 @@ def test_torus_start_blocks_do_not_change_the_result(m, n):
 def test_poly_blocks_hold_several_starts():
     # 2 MiB of state array: 8 starts at torus 7x7, all 5 orbits at width 2
     for m, n, starts in ((7, 7, 8), (2, 30, 5)):
-        _, block = engine._plan_lanes("cylinder", m, m * n, "poly", None,
-                                      DEFAULT_GUARDS)
+        _, (block, _) = engine._plan_lanes("cylinder", m, m * n, "poly", None,
+                                           DEFAULT_GUARDS)
         assert min(block, len(dihedral_orbits(m))) == starts
+
+
+# one lane per block, on one process and on two: grid 10x10 carries the
+# int64 lane and a 38-bit prime, cylinder 8x9 two lanes, torus 5x14 two
+# lanes per start over 18 starts, and the 64 cells of torus 8x8 two count
+# lanes besides the mincount degrees
+@pytest.mark.parametrize("mode, family, m, n", [
+    ("poly", "grid", 10, 10),
+    ("poly", "cylinder", 8, 9),
+    ("poly", "torus", 5, 14),
+    ("mincount", "torus", 8, 8),
+])
+def test_lane_blocks_do_not_change_the_result(mode, family, m, n,
+                                              monkeypatch):
+    def series(guards, workers=1):
+        if mode == "poly":
+            return polynomial_series(family, m, n, guards=guards,
+                                     workers=workers)
+        return list(engine._series(family, m, n, mode, guards,
+                                   workers=workers))
+
+    kernel = engine._kernel_for(family)
+    moduli, (_, width) = engine._plan_lanes(kernel, m, m * n, mode, None,
+                                            DEFAULT_GUARDS)
+    assert width == len(moduli) == 2  # every lane in one block by default
+    rows = max(plan.rows for plan in engine._gather_plans(kernel, m))
+    per_lane = m * n + 2 if mode == "poly" else 2  # mincount: + the degrees
+    one = Guards(max_memory_bytes=2 * rows * per_lane * 8)
+    assert engine._plan_lanes(kernel, m, m * n, mode, None, one)[1] == (1, 1)
+    whole = series(DEFAULT_GUARDS)
+    for workers in (1, 2):
+        assert series(one, workers) == whole
+    # one block per start and lane, each run by a serial pool
+    blocks = []
+    run = engine._run_block
+    monkeypatch.setattr(engine, "_run_block",
+                        lambda job: blocks.append(job) or run(job))
+    series(one)
+    starts = len(dihedral_orbits(m)) if family == "torus" else 1
+    assert len(blocks) == 2 * starts
+    below = Guards(max_memory_bytes=one.max_memory_bytes - 1)
+    with pytest.raises(GuardExceeded):
+        series(below)
 
 
 def test_torus_blocks_report_progress_as_they_finish(monkeypatch):
@@ -327,19 +378,32 @@ def test_torus_blocks_report_progress_as_they_finish(monkeypatch):
     assert series == polynomial_series("torus", m, n)
 
 
+def per_prime_sweeps(spec, b=16, workers=1):
+    """The exact polynomial from one independent mod-p sweep per prime below
+    2^b, the primes covering 2^(cells + 1), and those primes."""
+    moduli = select_moduli(spec.cells + 1, b)
+    cap = spec.cells + 1
+    residues = []
+    for p in moduli.primes:
+        coeffs = domination_polynomial(spec, ring=Ring(p),
+                                       workers=workers).coefficients
+        residues.append((p, list(coeffs) + [0] * (cap - len(coeffs))))
+    return crt_reconstruct(residues).trimmed(), moduli
+
+
 def test_crt_pipeline_reconstructs_the_exact_polynomial():
     spec = GraphSpec("grid", 5, 5)
-    poly, moduli = crt_domination_polynomial(spec)
+    poly, moduli = per_prime_sweeps(spec)
     assert poly == domination_polynomial(spec)
     assert moduli.product() >= 1 << (spec.cells + 1)
     assert all(p < 1 << 16 for p in moduli.primes)
-    poly2, _ = crt_domination_polynomial(spec, workers=2)
+    poly2, _ = per_prime_sweeps(spec, workers=2)
     assert poly2 == poly
 
 
 def test_crt_respects_the_bit_width():
     spec = GraphSpec("cylinder", 3, 4)
-    poly, moduli = crt_domination_polynomial(spec, b=11)
+    poly, moduli = per_prime_sweeps(spec, b=11)
     assert poly == domination_polynomial(spec)
     assert all(p < 1 << 11 for p in moduli.primes)
 
@@ -397,7 +461,7 @@ def test_lane_plan_past_the_one_lane_bound(kernel, m):
 @pytest.mark.parametrize("spec", [GraphSpec("cylinder", 8, 9),
                                   GraphSpec("torus", 6, 12)])
 def test_residue_lanes_match_independent_per_prime_sweeps(spec):
-    crt, moduli = crt_domination_polynomial(spec)
+    crt, moduli = per_prime_sweeps(spec)
     assert len(moduli.primes) > 2
     assert domination_polynomial(spec) == crt
 
