@@ -13,6 +13,7 @@ stable digits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import ceil
 from typing import Optional, Sequence
 
@@ -193,14 +194,6 @@ class GrowthEstimate:
         }
 
 
-def _sample_worker(args):
-    family, m, precision_digits, n_cap, max_states, max_memory = args
-    guards = engine.Guards(max_states, max_memory)
-    s = _growth_sample(family, m, precision_digits, n_cap, guards)
-    with mpmath.workdps(_WORK_DPS):
-        return m, mpmath.nstr(s.mu, _WORK_DPS - 10), s.n_used
-
-
 def estimate_growth(family: str, m_min: int = 3, m_max: int = 12,
                     precision_digits: int = 13, n_cap: int = 400,
                     workers: int = 1,
@@ -214,19 +207,11 @@ def estimate_growth(family: str, m_min: int = 3, m_max: int = 12,
         raise ValueError("need at least three widths")
     _check_digits(precision_digits)
     strip_family = "cylinder" if family == "torus" else family
-    ms = list(range(m_min, m_max + 1))
-    if workers > 1:
-        jobs = [(strip_family, m, precision_digits, n_cap,
-                 guards.max_states, guards.max_memory_bytes) for m in ms]
-        # imported here: it loads multiprocessing, which serial runs skip
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(_sample_worker, jobs))
-        with mpmath.workdps(_WORK_DPS):
-            samples = [GrowthSample(m, mpmath.mpf(mu), n) for m, mu, n in raw]
-    else:
-        samples = [_growth_sample(strip_family, m, precision_digits, n_cap,
-                                  guards) for m in ms]
+    sample = partial(_growth_sample, strip_family,
+                     precision_digits=precision_digits, n_cap=n_cap,
+                     guards=guards)
+    samples = list(engine._pooled(sample, list(range(m_min, m_max + 1)),
+                                  workers))
     with mpmath.workdps(_WORK_DPS):
         points = [(mpmath.mpf(1) / s.m, s.mu) for s in samples]
         result = bulirsch_stoer_extrapolate(points)

@@ -178,11 +178,12 @@ def _render_poly(poly: Polynomial, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _progress_printer(cells: int) -> Optional[Callable[[int, int, str], None]]:
-    if cells < _PROGRESS_CELLS:
-        return None
-    return lambda done, total, unit: print(f"{unit} {done}/{total}",
-                                           file=sys.stderr, flush=True)
+def _progress_printer(cells: int) -> Callable[[int, int, str], None]:
+    """Report every block of a split sweep, and rows past _PROGRESS_CELLS."""
+    def show(done: int, total: int, unit: str) -> None:
+        if unit == "block" or cells >= _PROGRESS_CELLS:
+            print(f"{unit} {done}/{total}", file=sys.stderr, flush=True)
+    return show
 
 
 def cmd_poly(req: RunRequest) -> int:

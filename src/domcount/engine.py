@@ -637,8 +637,10 @@ def run_sweep(spec: GraphSpec, start_signature: Signature,
 
     Returns the full configuration map {signature code: polynomial}, one
     entry per reachable full-row state with a nonzero polynomial, in
-    ascending code order.  Torus uses the trace loop instead; see
-    :func:`torus_polynomial`.
+    ascending code order.  One row, ``run_sweep(GraphSpec(family, m, 1),
+    sigma)``, is column sigma of the row transfer matrix: z^(occupied
+    cells of tau) for each row tau that may lie below sigma.  Torus uses
+    the trace loop instead; see :func:`torus_polynomial`.
     """
     if spec.family == "torus":
         raise ValueError("run_sweep has open-ended row semantics; "

@@ -1,9 +1,9 @@
 """Dense polynomial coefficient vectors over interchangeable rings.
 
 Two rings are supported: exact arbitrary-precision integers and residues
-modulo a fixed prime.  The sweep never multiplies two general polynomials;
-everything reduces to coefficient shifts and adds, so that is all this module
-offers, plus the multi-modular machinery (prime selection below a bit width,
+modulo a fixed prime.  The sweep itself shifts and adds int64 coefficient
+arrays; this module holds the polynomial it reads out into, plus the
+multi-modular machinery (prime selection below a bit width,
 Chinese-Remainder reconstruction, overflow-safe sums of int64 residue
 lanes) for recombining the residue lanes of one sweep into exact results.
 """
@@ -100,32 +100,6 @@ class Polynomial:
             else:
                 terms.append(f"{coeff}z^{d}")
         return " + ".join(terms) if terms else "0"
-
-
-def _require_same_ring(a: Polynomial, b: Polynomial) -> Ring:
-    if a.ring != b.ring:
-        raise ValueError(f"ring mismatch: {a.ring} vs {b.ring}")
-    return a.ring
-
-
-def poly_add(a: Polynomial, b: Polynomial) -> Polynomial:
-    ring = _require_same_ring(a, b)
-    n = max(len(a.coefficients), len(b.coefficients))
-    coeffs = tuple(ring.normalize(a.coefficient(d) + b.coefficient(d)) for d in range(n))
-    return Polynomial(ring, coeffs)
-
-
-def poly_scale_shift_add(acc: Polynomial, src: Polynomial, occupy: bool) -> Polynomial:
-    """acc + src, with src multiplied by z (every degree one up) when
-    occupy is set."""
-    if occupy:
-        src = Polynomial(src.ring, (0,) + src.coefficients)
-    return poly_add(acc, src)
-
-
-def eval_at_one(a: Polynomial) -> int:
-    """Sum of coefficients (a residue when the ring is mod p)."""
-    return a.ring.normalize(sum(a.coefficients))
 
 
 # ----------------------------------------------------------------- moduli

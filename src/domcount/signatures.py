@@ -240,23 +240,6 @@ def reflect(sig: Signature) -> Signature:
     return Signature.from_cells(tuple(reversed(sig.cells)))
 
 
-def rotate(sig: Signature, k: int) -> Signature:
-    """Cyclic shift by k positions; defined for cyclic-valid signatures."""
-    if not is_valid(sig, cyclic=True):
-        raise ValueError("rotate requires a cyclic-valid signature")
-    cells = sig.cells
-    k %= sig.width
-    return Signature.from_cells(cells[k:] + cells[:k])
-
-
-def uncovered_count(sig: Signature) -> int:
-    return sum(1 for c in sig.cells if c is CellState.UNCOVERED)
-
-
-def occupied_count(sig: Signature) -> int:
-    return sum(1 for c in sig.cells if c is CellState.OCCUPIED)
-
-
 def dihedral_orbits(m: int) -> list[tuple[int, int]]:
     """Orbits of the cyclic signatures under rotation and reflection.
 

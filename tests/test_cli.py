@@ -299,6 +299,18 @@ def test_progress_goes_to_stderr(capsys):
         assert "row" not in out
 
 
+def test_split_sweeps_report_blocks_at_any_size(capsys):
+    # 100 cells: too few for row progress, but a sweep in two lane blocks
+    # reports each block
+    argv = ["poly", "--family", "grid", "-m", "10", "-n", "10"]
+    code, whole, err = run(argv, capsys)
+    assert code == 0 and err == ""
+    code, out, err = run(argv + ["--max-mem", "20000000", "--workers", "1"],
+                         capsys)
+    assert code == 0 and out == whole
+    assert err.splitlines() == ["block 1/2", "block 2/2"]
+
+
 def test_output_is_deterministic(capsys):
     argv = ["poly", "--family", "torus", "-m", "3", "-n", "4", "--format", "json"]
     _, first, _ = run(argv, capsys)

@@ -16,7 +16,7 @@ from domcount.engine import (FAMILIES, GraphSpec, count_series,
                              domination_polynomial, gamma_series,
                              mincount_series)
 from domcount.oracle import brute_force_polynomial
-from domcount.rings import Ring, eval_at_one, is_probable_prime
+from domcount.rings import Ring, is_probable_prime
 
 
 @st.composite
@@ -42,7 +42,7 @@ def test_semiring_series_match_the_oracle(spec):
              for n in range(1, spec.n + 1)]
     lowest = [poly.min_degree() for poly in polys]
     assert count_series(spec.family, spec.m, spec.n) == \
-        [eval_at_one(poly) for poly in polys]
+        [sum(poly.coefficients) for poly in polys]
     assert gamma_series(spec.family, spec.m, spec.n) == lowest
     assert mincount_series(spec.family, spec.m, spec.n) == \
         [(g, poly.coefficient(g)) for g, poly in zip(lowest, polys)]

@@ -11,12 +11,9 @@ from domcount.rings import (
     Ring,
     covering_primes,
     crt_reconstruct,
-    eval_at_one,
     is_probable_prime,
     lane_sum,
     lane_values,
-    poly_add,
-    poly_scale_shift_add,
     select_moduli,
 )
 
@@ -25,53 +22,8 @@ def P(coeffs, ring=EXACT):
     return Polynomial.from_coefficients(coeffs, ring)
 
 
-def test_add_componentwise():
-    assert poly_add(P([1, 2]), P([0, 3])).coefficients == (1, 5)
-
-
-def test_add_mod():
-    ring = Ring(7)
-    assert poly_add(P([6], ring), P([5], ring)).coefficients == (4,)
-
-
-def test_add_ring_mismatch():
-    with pytest.raises(ValueError):
-        poly_add(P([1]), P([1], Ring(7)))
-
-
-def shift(poly):
-    """Multiply by z: the occupied move onto a zero accumulator."""
-    return poly_scale_shift_add(Polynomial.zero(poly.ring), poly, True)
-
-
 def residues_of(poly, primes):
     return [(p, tuple(c % p for c in poly.coefficients)) for p in primes]
-
-
-def test_shift_bumps_every_degree():
-    shifted = shift(P([6, 4, 1]))
-    assert shifted.coefficients == (0, 6, 4, 1)
-    assert shifted.min_degree() == 1
-    assert shift(Polynomial.monomial(2, 6)).coefficients == (0, 0, 0, 6)
-
-
-def test_scale_shift_add():
-    acc = P([1, 1])
-    src = P([2])
-    assert poly_scale_shift_add(acc, src, False).coefficients == (3, 1)
-    assert poly_scale_shift_add(acc, src, True).coefficients == (1, 3)
-
-
-def test_eval_at_one():
-    assert eval_at_one(P([0, 0, 6, 4, 1])) == 11
-    assert eval_at_one(Polynomial.zero()) == 0
-    assert eval_at_one(P([10], Ring(7))) == 3
-
-
-@given(st.lists(st.integers(0, 1 << 40), max_size=10))
-def test_shift_preserves_the_total(coeffs):
-    poly = P(coeffs)
-    assert eval_at_one(shift(poly)) == eval_at_one(poly)
 
 
 def test_trim_and_degrees():

@@ -14,11 +14,8 @@ from domcount.signatures import (
     encode,
     enumerate_signatures,
     is_valid,
-    occupied_count,
     reflect,
-    rotate,
     signature_codes,
-    uncovered_count,
 )
 
 cell_lists = st.lists(st.sampled_from(list(CellState)), min_size=1, max_size=12)
@@ -158,31 +155,11 @@ def test_all_covered():
 
 
 @given(st.integers(1, 8), st.data())
-def test_rotate_preserves_cyclic_validity(m, data):
-    codes = [int(c) for c in signature_codes(m, cyclic=True)]
-    sig = Signature(m, data.draw(st.sampled_from(codes)))
-    k = data.draw(st.integers(0, 2 * m))
-    assert is_valid(rotate(sig, k), cyclic=True)
-
-
-@given(st.integers(1, 8), st.data())
 def test_reflect_preserves_validity(m, data):
     codes = [int(c) for c in signature_codes(m)]
     sig = Signature(m, data.draw(st.sampled_from(codes)))
     assert is_valid(reflect(sig))
     assert reflect(reflect(sig)) == sig
-
-
-def test_rotate_needs_cyclic_validity():
-    with pytest.raises(ValueError):
-        rotate(Signature.from_text("xco"), 1)
-
-
-def test_cell_counters():
-    sig = Signature.from_text("ocx")
-    assert uncovered_count(sig) == 1
-    assert occupied_count(sig) == 1
-    assert occupied_count(all_covered(5)) == 0
 
 
 def test_dihedral_orbit_counts():

@@ -1,33 +1,86 @@
-import pytest
-from hypothesis import given
-from hypothesis import strategies as st
+"""The row transfer matrix, read from the production engine.
 
-from domcount.errors import GuardExceeded
+One row swept from a full-row start sigma, ``run_sweep(GraphSpec(family,
+m, 1), sigma)``, is column sigma of the row transfer matrix: entry
+(tau, sigma) is z^(occupied cells of tau) when row tau may lie directly
+below row sigma, and absent otherwise.  The engine's columns are checked
+against the definition of compatible rows below, and the definition against
+the bundled tables; the engine's single-column step, ``_column_images``, is
+checked on the kinked windows a row passes through.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from domcount.engine import GraphSpec, _column_images, _compiled, run_sweep
 from domcount.rings import Polynomial
 from domcount.signatures import (
     CellState,
     Signature,
-    all_covered,
+    enumerate_signatures,
     is_valid,
-    occupied_count,
     signature_codes,
 )
-from domcount.transfer import (
-    KinkedState,
-    build_transfer_matrix,
-    compatible,
-    extend,
-    row_step_equivalence_check,
-    sweep_row,
-)
+
+_UNC = CellState.UNCOVERED
+_COV = CellState.COVERED
+_OCC = CellState.OCCUPIED
+
+
+def compatible(sigma: Signature, tau: Signature, cyclic: bool = False) -> bool:
+    """Can row tau be placed directly below row sigma?
+
+    Three conditions, checked per column i: an uncovered sigma cell forces
+    tau_i occupied (nothing else can ever reach it); an occupied sigma cell
+    forces tau_i covered or occupied; a covered tau cell needs a justifier,
+    i.e. sigma_i occupied or a horizontally adjacent occupied cell in tau.
+    Horizontal indices wrap when cyclic; otherwise boundary neighbors are
+    simply ignored.
+    """
+    if sigma.width != tau.width:
+        raise ValueError(f"width mismatch: {sigma.width} vs {tau.width}")
+    s = sigma.cells
+    t = tau.cells
+    m = sigma.width
+    for i in range(m):
+        if s[i] is _UNC and t[i] is not _OCC:
+            return False
+        if s[i] is _OCC and t[i] is _UNC:
+            return False
+        if t[i] is _COV and s[i] is not _OCC:
+            justified = (i > 0 and t[i - 1] is _OCC) or (i < m - 1 and t[i + 1] is _OCC)
+            if cyclic and m >= 2 and not justified:
+                justified = (i == 0 and t[m - 1] is _OCC) or (i == m - 1 and t[0] is _OCC)
+            if not justified:
+                return False
+    return True
 
 
 def sig(text):
     return Signature.from_text(text)
 
 
-def cells(text):
-    return sig(text).cells
+def column(family, sigma):
+    """Column sigma of the transfer matrix as the engine computes it."""
+    return run_sweep(GraphSpec(family, sigma.width, 1), sigma)
+
+
+def reference_column(sigma, cyclic):
+    """Column sigma of the transfer matrix by the definition."""
+    return {tau.code: Polynomial.monomial(tau.cells.count(_OCC))
+            for tau in enumerate_signatures(sigma.width, cyclic)
+            if compatible(sigma, tau, cyclic)}
+
+
+def images(kernel, m, c, window):
+    """The unoccupied image (None when illegal) and the occupied image of
+    one window, in text form, under the engine's step at column c."""
+    valid, plain, occ = _column_images(kernel, m, c, np.array([sig(window).code]))
+    width = len(window)
+    return (Signature(width, int(plain[0])).to_text() if valid[0] else None,
+            Signature(width, int(occ[0])).to_text())
 
 
 def test_compatible_basics():
@@ -47,153 +100,115 @@ def test_compatible_wrap_justification():
     assert not compatible(sig("ccc"), sig("ccx"))
 
 
+@pytest.mark.parametrize("m,cyclic", [(m, cyclic) for cyclic in (False, True)
+                                      for m in range(1, 6)])
+def test_sweep_equals_matrix_on_basis_vectors(m, cyclic):
+    """One row of the engine from each valid start is that start's column
+    of the matrix the definition gives."""
+    family = "cylinder" if cyclic else "grid"
+    for sigma in enumerate_signatures(m, cyclic):
+        assert column(family, sigma) == reference_column(sigma, cyclic), \
+            (family, sigma.to_text())
+
+
 def test_width_one_matrix():
-    mat = build_transfer_matrix(1)
     o, c, x = sig("o"), sig("c"), sig("x")
-    assert mat.entry(o, c) == 0
-    assert mat.entry(c, x) == 0
-    assert mat.entry(x, o) == mat.entry(x, c) == mat.entry(x, x) == 1
-    for tau, sigma in ((o, o), (o, x), (c, o), (c, c)):
-        assert mat.entry(tau, sigma) is None
+    for family in ("grid", "cylinder"):
+        assert column(family, o) == {x.code: Polynomial.monomial(1)}
+        assert column(family, c) == {o.code: Polynomial.monomial(0),
+                                     x.code: Polynomial.monomial(1)}
+        assert column(family, x) == {c.code: Polynomial.monomial(0),
+                                     x.code: Polynomial.monomial(1)}
 
 
 def test_known_matrices_reproduced(transfer_tables):
-    for key, m, cyclic in (("grid_m2", 2, False), ("cylinder_m3", 3, True)):
+    # the engine's columns meet the same tables in test_acceptance
+    for key, cyclic in (("grid_m2", False), ("cylinder_m3", True)):
         table = transfer_tables[key]
-        mat = build_transfer_matrix(m, cyclic=cyclic)
         named = [sig(text) for text in table["signatures"]]
-        assert sorted(s.code for s in named) == [s.code for s in mat.signatures]
-        for ti, tau in enumerate(named):
-            for si, sigma in enumerate(named):
-                assert mat.entry(tau, sigma) == table["exponents"][ti][si], \
-                    (key, tau.to_text(), sigma.to_text())
+        assert sorted(s.code for s in named) == \
+            signature_codes(named[0].width, cyclic).tolist()
+        for si, sigma in enumerate(named):
+            assert reference_column(sigma, cyclic) == \
+                {tau.code: Polynomial.monomial(row[si])
+                 for tau, row in zip(named, table["exponents"])
+                 if row[si] is not None}, (key, sigma.to_text())
 
 
 def test_matrix_spot_entries():
-    mat = build_transfer_matrix(2)
-    assert mat.entry(sig("xc"), sig("oc")) == 1
-    cyc = build_transfer_matrix(3, cyclic=True)
-    xxx = sig("xxx")
-    assert all(cyc.entry(xxx, s) == 3 for s in cyc.signatures)
+    assert column("grid", sig("oc"))[sig("xc").code] == Polynomial.monomial(1)
+    xxx = sig("xxx").code
+    for sigma in enumerate_signatures(3, cyclic=True):
+        assert column("cylinder", sigma)[xxx] == Polynomial.monomial(3)
 
 
 @pytest.mark.parametrize("m,cyclic", [(1, False), (2, False), (3, False),
                                       (2, True), (3, True), (4, True)])
 def test_row_exponent_equals_occupied_count(m, cyclic):
-    mat = build_transfer_matrix(m, cyclic=cyclic)
-    for ti, tau in enumerate(mat.signatures):
-        present = [e for e in mat.exponents[ti] if e is not None]
-        assert present
-        assert set(present) == {occupied_count(tau)}
-
-
-def test_matrix_size_guard():
-    with pytest.raises(GuardExceeded):
-        build_transfer_matrix(13)
-
-
-def test_index_of_unknown_signature():
-    mat = build_transfer_matrix(2)
-    with pytest.raises(KeyError):
-        mat.index_of(sig("x"))
+    family = "cylinder" if cyclic else "grid"
+    reached = {}
+    for sigma in enumerate_signatures(m, cyclic):
+        for code, poly in column(family, sigma).items():
+            reached.setdefault(code, set()).add(poly)
+    # every row is reached, always with the one monomial of its occupied cells
+    assert reached == {tau.code: {Polynomial.monomial(tau.cells.count(_OCC))}
+                       for tau in enumerate_signatures(m, cyclic)}
 
 
 def test_fresh_row_extend_moves():
-    state = KinkedState.fresh_row("grid", sig("cc"))
-    lo = extend(state, False)
-    hi = extend(state, True)
-    assert lo.column == 2 and lo.window == cells("oc")
-    assert hi.column == 2 and hi.window == cells("xc")
+    assert images("grid", 2, 1, "cc") == ("oc", "xc")
 
 
 def test_unoccupied_cell_covered_from_above():
-    state = KinkedState.fresh_row("grid", sig("xc"))
-    nxt = extend(state, False)
-    assert nxt.column == 2
-    assert nxt.window == cells("cc")
+    assert images("grid", 2, 1, "xc")[0] == "cc"
 
 
 def test_departing_uncovered_cell_blocks_unoccupied_placement():
     """A mid-row window where the cell leaving the frontier is still
     uncovered: the new vertex is its last chance, so not occupying is
     illegal and occupying covers it on the way out."""
-    state = KinkedState("grid", 8, 5, cells("cocxocxc"))
-    assert extend(state, False) is None
-    nxt = extend(state, True)
-    assert nxt.column == 6
-    assert nxt.window == cells("cocxxcxc")
+    assert images("grid", 8, 5, "cocxocxc") == (None, "cocxxcxc")
 
 
 def test_cylinder_wrap_placement():
-    state = KinkedState("cylinder", 3, 3, cells("occ"))
-    occ = extend(state, True)
-    assert occ.column == 1
-    assert occ.completed_row() == sig("ccx")
-    un = extend(state, False)
-    assert un.completed_row() == sig("oco")
+    # the last cell of a cylinder row covers, or is covered by, the first
+    assert images("cylinder", 3, 3, "occ") == ("oco", "ccx")
 
 
 def test_first_cell_pending_flag():
-    start = KinkedState.fresh_row("cylinder", sig("ccc"))
-    assert not start.first_cell_pending
-    assert extend(start, False).first_cell_pending
-    assert not extend(start, True).first_cell_pending
-
-
-def test_completed_row_requires_column_one():
-    state = extend(KinkedState.fresh_row("grid", sig("cc")), True)
-    with pytest.raises(ValueError):
-        state.completed_row()
+    """A cylinder row's first cell left uncovered stays so until the wrap
+    placement at the last column, unless its right neighbor covers it."""
+    plain, occupied = images("cylinder", 3, 1, "ccc")
+    assert plain[0] == "o" and occupied[0] == "x"
+    plain, occupied = images("cylinder", 3, 2, "occ")
+    assert plain[0] == "o" and occupied == "cxc"
 
 
 def test_king_window_has_an_extra_cell():
-    state = KinkedState.fresh_row("king", sig("cc"))
-    assert len(state.window) == 3
-    assert state.window[0] is CellState.COVERED
-    with pytest.raises(ValueError):
-        KinkedState("king", 2, 1, cells("cc"))
-    with pytest.raises(ValueError):
-        KinkedState("torus", 2, 1, cells("cc"))
+    # a full king row sits behind a virtual Covered north-west slot
+    codes = _compiled("king", 3)[0]
+    assert (codes % 3 == 1).all()
+    assert sorted(codes // 3) == signature_codes(3).tolist()
+    # the completed row comes back behind the same slot
+    assert images("king", 2, 2, "cxc") == ("ccc", "ccx")
 
 
 def test_king_occupied_cell_covers_diagonal_neighbors():
-    state = KinkedState.fresh_row("king", sig("coc"))
-    nxt = extend(state, True)
     # occupying column 1 upgrades the uncovered cell above column 2
-    assert nxt.column == 2
-    assert nxt.window == (CellState.OCCUPIED,) + cells("ccc")
+    assert images("king", 3, 1, "ccoc")[1] == "xccc"
 
 
-def test_sweep_row_from_fully_covered():
-    start = {all_covered(2).code: Polynomial.from_coefficients([1])}
-    out = sweep_row("grid", start, 2)
-    named = {Signature(2, code).to_text(): poly.trimmed().coefficients
-             for code, poly in out.items()}
-    assert named == {"oo": (1,), "xc": (0, 1), "cx": (0, 1), "xx": (0, 0, 1)}
-
-
-@pytest.mark.parametrize("m,cyclic", [(1, False), (2, False), (2, True), (3, True)])
-def test_sweep_equals_matrix_on_basis_vectors(m, cyclic):
-    for code in signature_codes(m, cyclic=cyclic):
-        vector = {int(code): Polynomial.from_coefficients([1])}
-        assert row_step_equivalence_check(m, cyclic, vector)
-
-
-def test_equivalence_check_guard():
-    with pytest.raises(GuardExceeded):
-        row_step_equivalence_check(11, False, {})
-
-
-@given(st.sampled_from(("grid", "cylinder")), st.integers(1, 6), st.data())
-def test_extend_keeps_windows_kink_valid(family, m, data):
-    codes = [int(c) for c in signature_codes(m, cyclic=(family == "cylinder"))]
-    state = KinkedState.fresh_row(family, Signature(m, data.draw(st.sampled_from(codes))))
-    for _ in range(m):
-        moves = [s for occ in (False, True) if (s := extend(state, occ)) is not None]
-        assert moves  # occupying is always legal
-        state = data.draw(st.sampled_from(moves))
-        window_sig = Signature.from_cells(state.window)
-        if state.column == 1:
-            assert is_valid(window_sig, cyclic=(family == "cylinder"))
-        else:
-            assert is_valid(window_sig, kink=state.column)
+def test_extend_keeps_windows_kink_valid():
+    """Every image of a window kink-valid at column c is kink-valid at
+    c + 1, or a valid row (cyclic-valid for the cylinder) at c = m."""
+    for family, m in itertools.product(("grid", "cylinder"), range(1, 7)):
+        cyclic = family == "cylinder"
+        windows = [Signature(m, code) for code in range(3 ** m)]
+        for c in range(1, m + 1):
+            codes = np.array([w.code for w in windows
+                              if is_valid(w, cyclic=cyclic and c == 1, kink=c)])
+            valid, plain, occ = _column_images(family, m, c, codes)
+            for code in np.concatenate([plain[valid], occ]).tolist():
+                image = Signature(m, code)
+                assert (is_valid(image, cyclic=cyclic) if c == m
+                        else is_valid(image, kink=c + 1)), (family, m, c, image)
