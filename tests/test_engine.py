@@ -65,6 +65,17 @@ def test_two_rows_width_one():
         (0, 2, 1)
 
 
+def test_one_cylinder_row_equals_a_matrix_column():
+    # column ccc of the width-3 cylinder matrix, by hand: with no occupied
+    # cell nothing covers the row (ooo); any occupied cell neighbors the
+    # other two across the wrap, so they are covered or occupied
+    out = run_sweep(GraphSpec("cylinder", 3, 1), all_covered(3))
+    assert named(out, 3) == {"ooo": (1,),
+                             "xcc": (0, 1), "cxc": (0, 1), "ccx": (0, 1),
+                             "xxc": (0, 0, 1), "xcx": (0, 0, 1),
+                             "cxx": (0, 0, 1), "xxx": (0, 0, 0, 1)}
+
+
 def test_one_king_row_is_a_complete_graph():
     out = run_sweep(GraphSpec("king", 2, 1), all_covered(2))
     assert named(out, 2) == {"oo": (1,), "xc": (0, 1), "cx": (0, 1),

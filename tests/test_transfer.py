@@ -111,6 +111,15 @@ def test_sweep_equals_matrix_on_basis_vectors(m, cyclic):
             (family, sigma.to_text())
 
 
+def test_sweep_row_from_fully_covered():
+    start = sig("cc")
+    out = column("grid", start)
+    named = {Signature(2, code).to_text(): poly.trimmed().coefficients
+             for code, poly in out.items()}
+    assert named == {"oo": (1,), "xc": (0, 1), "cx": (0, 1), "xx": (0, 0, 1)}
+    assert out == reference_column(start, cyclic=False)
+
+
 def test_width_one_matrix():
     o, c, x = sig("o"), sig("c"), sig("x")
     for family in ("grid", "cylinder"):
