@@ -15,7 +15,6 @@ import os
 import sys
 from dataclasses import dataclass
 from importlib import resources
-from math import ceil
 from typing import Callable, Optional, Sequence
 
 from . import engine
@@ -201,39 +200,24 @@ def cmd_count(req: RunRequest) -> int:
     return EXIT_OK
 
 
-def _table_values(kind: str, family: str, m: int, n_max: int,
-                  guards: engine.Guards) -> list:
-    if kind == "gamma":
-        return engine.gamma_series(family, m, n_max, guards=guards)
-    if kind == "ngamma":
-        return [cnt for _, cnt in
-                engine.mincount_series(family, m, n_max, guards=guards)]
-    return engine.count_series(family, m, n_max, guards=guards)
-
-
 def cmd_table(req: RunRequest, kind: str) -> int:
     m_lo, m_hi = req.m_range or (1, 8)
     n_lo, n_hi = req.n_range or (1, 8)
     ms = list(range(m_lo, m_hi + 1))
     ns = list(range(n_lo, n_hi + 1))
-    if req.family != "cylinder" and m_hi > n_hi:
-        # transpose symmetric: sweep the narrower side, width n
-        rows = [_table_values(kind, req.family, n, m_hi, req.guards)[m_lo - 1:]
-                for n in ns]
-        cols = {m: [row[j] for row in rows] for j, m in enumerate(ms)}
-    else:
-        cols = {m: _table_values(kind, req.family, m, n_hi, req.guards)[n_lo - 1:]
-                for m in ms}
+    values = engine.table_values(kind, req.family,
+                                 [(m, n) for n in ns for m in ms], req.guards)
+    rows = [values[i:i + len(ms)] for i in range(0, len(values), len(ms))]
     if req.fmt == "json":
-        rows = [[cols[m][i] if kind == "gamma" else str(cols[m][i]) for m in ms]
-                for i in range(len(ns))]
+        if kind != "gamma":
+            rows = [[str(v) for v in row] for row in rows]
         sys.stdout.write(json.dumps(
             {"kind": kind, "family": req.family, "m_values": ms,
              "n_values": ns, "rows": rows}) + "\n")
         return EXIT_OK
     lines = ["n/m," + ",".join(str(m) for m in ms)]
-    for i, n in enumerate(ns):
-        lines.append(f"{n}," + ",".join(str(cols[m][i]) for m in ms))
+    lines += [f"{n}," + ",".join(str(v) for v in row)
+              for n, row in zip(ns, rows)]
     sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -262,41 +246,28 @@ def cmd_growth(req: RunRequest, digits: int, n_cap: int) -> int:
 
 # ------------------------------------------------------------ OEIS registry
 
-def _diag(kind: str, family: str):
-    def gen(limit: int) -> list[int]:
-        out = []
-        for n in range(1, limit + 1):
-            out.append(_table_values(kind, family, n, n,
-                                     engine.DEFAULT_GUARDS)[-1])
-        return out
-    return gen
-
-
-def _antidiag(kind: str, family: str):
-    def gen(limit: int) -> list[int]:
-        out = []
-        d = 2
-        while len(out) < limit:
-            for m in range(1, d):
-                if len(out) >= limit:
-                    break
-                out.append(_table_values(kind, family, m, d - m,
-                                         engine.DEFAULT_GUARDS)[-1])
-            d += 1
-        return out
-    return gen
-
-
-def _king_gamma_antidiag(limit: int) -> list[int]:
-    out = []
-    d = 2
-    while len(out) < limit:
-        for m in range(1, d):
-            if len(out) >= limit:
-                break
-            out.append(ceil(m / 3) * ceil((d - m) / 3))
+def _antidiagonal(k: int) -> list[tuple[int, int]]:
+    """The first k cells (m, n) of the antidiagonals m + n = 2, 3, ...,
+    m ascending along each."""
+    cells, d = [], 2
+    while len(cells) < k:
+        cells += [(m, d - m) for m in range(1, d)]
         d += 1
-    return out
+    return cells[:k]
+
+
+def _diagonal(k: int) -> list[tuple[int, int]]:
+    return [(n, n) for n in range(1, k + 1)]
+
+
+def _sequence(kind: str, family: str, cells: Callable):
+    return lambda k: engine.table_values(kind, family, cells(k))
+
+
+def _king_gamma(k: int) -> list[int]:
+    from . import analysis  # mpmath loads only for this sequence
+    return [analysis.gamma_closed_form("king", m, n)
+            for m, n in _antidiagonal(k)]
 
 
 # id -> (first index, generator, description)
@@ -313,27 +284,34 @@ OEIS_REGISTRY: dict[str, tuple[int, Callable[[int], list[int]], str]] = {
                 "cyclic signature counts"),
     "A208716": (1, lambda k: [len(dihedral_orbits(m)) for m in range(1, k + 1)],
                 "cyclic signatures up to rotation and reflection"),
-    "A104519": (1, _diag("gamma", "grid"), "gamma of the n x n grid"),
-    "A094087": (1, _diag("gamma", "torus"), "gamma of the n x n torus"),
-    "A075561": (1, _king_gamma_antidiag, "gamma of the m x n king lattice"),
-    "A133515": (1, _diag("total", "grid"), "dominating sets of the n x n grid"),
-    "A133791": (1, _diag("total", "king"), "dominating sets of the n x n king"),
-    "A303334": (1, _diag("total", "torus"), "dominating sets of the n x n torus"),
-    "A286914": (1, _diag("total", "cylinder"),
+    "A104519": (1, _sequence("gamma", "grid", _diagonal),
+                "gamma of the n x n grid"),
+    "A094087": (1, _sequence("gamma", "torus", _diagonal),
+                "gamma of the n x n torus"),
+    "A075561": (1, _king_gamma, "gamma of the m x n king lattice"),
+    "A133515": (1, _sequence("total", "grid", _diagonal),
+                "dominating sets of the n x n grid"),
+    "A133791": (1, _sequence("total", "king", _diagonal),
+                "dominating sets of the n x n king"),
+    "A303334": (1, _sequence("total", "torus", _diagonal),
+                "dominating sets of the n x n torus"),
+    "A286914": (1, _sequence("total", "cylinder", _diagonal),
                 "dominating sets of the n x n cylinder"),
-    "A218354": (1, _antidiag("total", "grid"),
+    "A218354": (1, _sequence("total", "grid", _antidiagonal),
                 "dominating sets of the m x n grid, antidiagonals"),
-    "A218663": (1, _antidiag("total", "king"),
+    "A218663": (1, _sequence("total", "king", _antidiagonal),
                 "dominating sets of the m x n king, antidiagonals"),
-    "A286514": (1, _antidiag("total", "cylinder"),
+    "A286514": (1, _sequence("total", "cylinder", _antidiagonal),
                 "dominating sets of the m x n cylinder, antidiagonals"),
-    "A347632": (1, _diag("ngamma", "grid"), "minimum dominating sets, n x n grid"),
-    "A347554": (1, _diag("ngamma", "king"), "minimum dominating sets, n x n king"),
-    "A347557": (1, _diag("ngamma", "torus"),
+    "A347632": (1, _sequence("ngamma", "grid", _diagonal),
+                "minimum dominating sets, n x n grid"),
+    "A347554": (1, _sequence("ngamma", "king", _diagonal),
+                "minimum dominating sets, n x n king"),
+    "A347557": (1, _sequence("ngamma", "torus", _diagonal),
                 "minimum dominating sets, n x n torus"),
-    "A350820": (1, _antidiag("ngamma", "grid"),
+    "A350820": (1, _sequence("ngamma", "grid", _antidiagonal),
                 "minimum dominating sets, m x n grid, antidiagonals"),
-    "A350815": (1, _antidiag("ngamma", "king"),
+    "A350815": (1, _sequence("ngamma", "king", _antidiagonal),
                 "minimum dominating sets, m x n king, antidiagonals"),
 }
 
@@ -415,31 +393,29 @@ def cmd_verify(max_cells: int) -> int:
                   (md, coeffs), "; ".join(notes))
 
     totals = _load_fixture("grid_totals.json")
-    for n in range(1, 7):
-        check(f"totals grid {n}x{n}",
-              engine.count_dominating(engine.GraphSpec("grid", n, n)),
-              totals[str(n)])
+    got = engine.table_values("total", "grid", [(n, n) for n in range(1, 7)])
+    for n, total in enumerate(got, 1):
+        check(f"totals grid {n}x{n}", total, totals[str(n)])
 
     gamma_rows = _load_fixture("cylinder_gamma.json")["rows"]
+    cells = [(m, n) for m in range(1, 9) for n in range(1, 9)]
+    got = engine.table_values("gamma", "cylinder", cells)
     for m in range(1, 9):
-        series = engine.gamma_series("cylinder", m, 8)
-        check(f"gamma cylinder column m={m}",
-              series, [gamma_rows[n - 1][m - 1] for n in range(1, 9)])
+        check(f"gamma cylinder column m={m}", got[8 * (m - 1):8 * m],
+              [gamma_rows[n - 1][m - 1] for n in range(1, 9)])
 
     mindom = _load_fixture("mindom.json")
     merr = {(e["family"], e["n"]): e for e in mindom.get("errata", [])}
     for family in engine.FAMILIES:
-        for n in range(2, 9):
-            want = mindom[family].get(str(n))
-            if want is None:
-                continue
-            note = ""
+        ns = [n for n in range(2, 9) if str(n) in mindom[family]]
+        got = engine.table_values("ngamma", family, [(n, n) for n in ns])
+        for n, cnt in zip(ns, got):
+            want, note = mindom[family][str(n)], ""
             if (family, n) in merr:
                 e = merr[(family, n)]
                 want = e["corrected"]
                 note = (f"known erratum: table prints {e['printed']}, "
                         f"corrected {e['corrected']}")
-            _, cnt = engine.mincount_series(family, n, n)[-1]
             check(f"ngamma {family} {n}x{n}", cnt, want, note)
 
     for line in report:

@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -75,8 +75,8 @@ class GraphSpec:
     m is the exponential (state space) dimension and wraps for cylinder and
     torus; n is the number of rows and wraps for the torus only.  Wrap
     adjacency is a set: a width-1 cycle contributes no self-loop and a
-    width-2 cycle no parallel edge.  The side swept, m after
-    :func:`_oriented`, is at most MAX_WIDTH.
+    width-2 cycle no parallel edge.  The side swept, the width
+    :func:`_oriented` returns, is at most MAX_WIDTH.
     """
 
     family: str
@@ -88,7 +88,7 @@ class GraphSpec:
             raise ValueError(f"unknown family {self.family!r}")
         if self.m < 1 or self.n < 1:
             raise ValueError("m and n must be at least 1")
-        if _oriented(self).m > MAX_WIDTH:
+        if _oriented(self.family, self.m, self.n)[1] > MAX_WIDTH:
             raise ValueError(f"m, or the narrow side of a transposable "
                              f"board, must be at most {MAX_WIDTH}")
 
@@ -686,8 +686,8 @@ def polynomial_series(family: str, m: int, n_max: int, ring: Ring = EXACT,
                                   ring.modulus, workers, progress)]
 
 
-def _oriented(spec: GraphSpec) -> GraphSpec:
-    """Put the cheap dimension on the signature axis when that is exact.
+def _oriented(family: str, m: int, n: int) -> tuple[str, int, int]:
+    """The (family, width, length) that sweeps the family's m x n board.
 
     Grid, king, and torus are transpose symmetric, and sweep cost is
     exponential in the width, so wide-short instances run as their
@@ -696,13 +696,11 @@ def _oriented(spec: GraphSpec) -> GraphSpec:
     edge difference (P1 = C1, and P2 = C2 once the wrap edge is deduped),
     so those instances are the matching torus and transpose freely.
     """
-    if spec.family == "cylinder":
-        if spec.n > 2:
-            return spec
-        spec = GraphSpec("torus", spec.m, spec.n)
-    if spec.m > spec.n:
-        return GraphSpec(spec.family, spec.n, spec.m)
-    return spec
+    if family == "cylinder":
+        if n > 2:
+            return family, m, n
+        family = "torus"
+    return (family, n, m) if m > n else (family, m, n)
 
 
 def domination_polynomial(spec: GraphSpec, ring: Ring = EXACT,
@@ -711,10 +709,9 @@ def domination_polynomial(spec: GraphSpec, ring: Ring = EXACT,
                           progress: Optional[Callable[[int, int, str], None]] = None,
                           ) -> Polynomial:
     """The domination polynomial D(z) of one lattice instance."""
-    spec = _oriented(spec)
-    return polynomial_series(spec.family, spec.m, spec.n, ring=ring,
-                             guards=guards, progress=progress,
-                             workers=workers)[-1]
+    family, m, n = _oriented(spec.family, spec.m, spec.n)
+    return polynomial_series(family, m, n, ring=ring, guards=guards,
+                             progress=progress, workers=workers)[-1]
 
 
 def count_series(family: str, m: int, n_max: int,
@@ -773,10 +770,34 @@ def mincount_series(family: str, m: int, n_max: int,
     return list(_series(family, m, n_max, "mincount", guards))
 
 
+_TABLE_MODES = {"gamma": "minplus", "ngamma": "mincount", "total": "count"}
+
+
+def table_values(kind: str, family: str, cells: Sequence[tuple[int, int]],
+                 guards: Guards = DEFAULT_GUARDS) -> list[int]:
+    """Domination numbers ("gamma"), numbers of minimum dominating sets
+    ("ngamma") or totals ("total") of the family's m x n boards, one per
+    (m, n) in `cells`, in order.
+
+    Each board is swept as :func:`_oriented` turns it, and the boards that
+    share a swept (family, width) read one series, as long as the longest
+    of them needs.  The widest sweeps run first, so the state guard
+    refuses a table before any sweep of it runs.
+    """
+    mode = _TABLE_MODES[kind]
+    swept = [_oriented(family, m, n) for m, n in cells]
+    lengths: dict[tuple[str, int], int] = {}
+    for fam, width, n in sorted(swept, key=lambda s: (-s[1], s[0])):
+        lengths[fam, width] = max(lengths.get((fam, width), 0), n)
+    series = {key: list(_series(*key, n, mode, guards))
+              for key, n in lengths.items()}
+    values = [series[fam, width][n - 1] for fam, width, n in swept]
+    return [cnt for _, cnt in values] if mode == "mincount" else values
+
+
 def count_dominating(spec: GraphSpec, guards: Guards = DEFAULT_GUARDS) -> int:
     """Number of dominating sets (the polynomial evaluated at 1)."""
-    spec = _oriented(spec)
-    return count_series(spec.family, spec.m, spec.n, guards=guards)[-1]
+    return table_values("total", spec.family, [(spec.m, spec.n)], guards)[0]
 
 
 # ------------------------------------------------------------------ torus

@@ -52,15 +52,8 @@ class Polynomial:
         return cls(ring, tuple(ring.normalize(c) for c in coefficients))
 
     @classmethod
-    def zero(cls, ring: Ring = EXACT) -> "Polynomial":
-        return cls(ring, ())
-
-    @classmethod
     def monomial(cls, degree: int, coefficient: int = 1, ring: Ring = EXACT) -> "Polynomial":
         return cls(ring, (0,) * degree + (ring.normalize(coefficient),))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coefficients)
 
     def min_degree(self) -> Optional[int]:
         """Lowest degree with a nonzero coefficient, or None for zero."""

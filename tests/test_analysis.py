@@ -9,7 +9,7 @@ from domcount.analysis import (
     stats_from_polynomial,
 )
 from domcount.engine import GraphSpec, domination_polynomial, iter_counts
-from domcount.rings import Polynomial
+from domcount.rings import EXACT, Polynomial
 
 
 def test_stats_summary():
@@ -21,7 +21,7 @@ def test_stats_summary():
 
 def test_stats_reject_the_zero_polynomial():
     with pytest.raises(ValueError):
-        stats_from_polynomial(Polynomial.zero())
+        stats_from_polynomial(Polynomial(EXACT, ()))
 
 
 def test_gamma_closed_form_king(appendix_poly):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -7,11 +8,14 @@ from pathlib import Path
 import pytest
 
 import domcount
-from domcount import cli
+from domcount import cli, engine
+from domcount.analysis import gamma_closed_form
 from domcount.engine import GraphSpec, domination_polynomial, run_sweep
 from domcount.errors import VerificationError
 from domcount.rings import Polynomial, Ring
-from domcount.signatures import all_covered
+from domcount.signatures import (all_covered, closed_form_count,
+                                 count_signatures, enumerate_signatures,
+                                 reflect)
 
 
 def run(argv, capsys):
@@ -67,7 +71,8 @@ def test_mod_checkpoints_are_the_reduced_exact_checkpoints(family, m, n, modulus
                                                       ring).trimmed()
                    for code, poly in exact.items()}
         assert run_sweep(spec, all_covered(m), ring=ring) == \
-            {code: poly for code, poly in reduced.items() if not poly.is_zero()}
+            {code: poly for code, poly in reduced.items()
+             if any(poly.coefficients)}
 
 
 def test_count(capsys):
@@ -194,6 +199,122 @@ def test_oeis_grid_gamma_diagonal(appendix_poly, capsys):
         coeffs = appendix_poly("grid", n)
         expected.append(next(d for d, c in enumerate(coeffs) if c))
     assert out == "".join(f"{n} {v}\n" for n, v in enumerate(expected, start=1))
+
+
+# the table cells each id lists, as its description names them: "n x n" is
+# the diagonal, "antidiagonals" the cells (m, d - m) of d = 2, 3, ..., m
+# ascending
+_TABLE_SEQUENCES = {
+    "A104519": ("gamma", "grid", "diagonal"),
+    "A094087": ("gamma", "torus", "diagonal"),
+    "A133515": ("total", "grid", "diagonal"),
+    "A133791": ("total", "king", "diagonal"),
+    "A303334": ("total", "torus", "diagonal"),
+    "A286914": ("total", "cylinder", "diagonal"),
+    "A218354": ("total", "grid", "antidiagonals"),
+    "A218663": ("total", "king", "antidiagonals"),
+    "A286514": ("total", "cylinder", "antidiagonals"),
+    "A347632": ("ngamma", "grid", "diagonal"),
+    "A347554": ("ngamma", "king", "diagonal"),
+    "A347557": ("ngamma", "torus", "diagonal"),
+    "A350820": ("ngamma", "grid", "antidiagonals"),
+    "A350815": ("ngamma", "king", "antidiagonals"),
+}
+
+
+def _table_cells(kind, family, side, capsys):
+    code, out, _ = run(["table", kind, "--family", family, "--m-range",
+                        f"1:{side}", "--n-range", f"1:{side}", "--format",
+                        "json"], capsys)
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    return lambda m, n: int(rows[n - 1][m - 1])
+
+
+def _dihedral_classes(m):
+    """Cyclic-valid rows of width m up to rotation and reflection, by brute
+    force over all 3^m rows (0 uncovered, 1 covered, 2 occupied)."""
+    classes = set()
+    for row in itertools.product(range(3), repeat=m):
+        if any({row[i], row[(i + 1) % m]} == {0, 2} for i in range(m)):
+            continue
+        turns = [row[k:] + row[:k] for k in range(m)]
+        classes.add(min(turns + [t[::-1] for t in turns]))
+    return len(classes)
+
+
+def _oeis_terms(seq_id, limit, capsys):
+    code, out, _ = run(["oeis", seq_id, "--limit", str(limit)], capsys)
+    assert code == 0
+    offset = cli.OEIS_REGISTRY[seq_id][0]
+    lines = out.splitlines()
+    assert [int(line.split()[0]) for line in lines] == \
+        list(range(offset, offset + limit))
+    return [int(line.split()[1]) for line in lines]
+
+
+@pytest.mark.parametrize("seq_id", sorted(cli.OEIS_REGISTRY))
+def test_oeis_terms_match_an_independent_reading(seq_id, capsys):
+    description = cli.OEIS_REGISTRY[seq_id][2]
+    if seq_id in _TABLE_SEQUENCES:
+        kind, family, shape = _TABLE_SEQUENCES[seq_id]
+        assert family in description
+        assert ("antidiagonals" in description) == (shape == "antidiagonals")
+        if shape == "diagonal":
+            limit, cells = 6, [(n, n) for n in range(1, 7)]
+        else:
+            limit = 15  # the antidiagonals m + n = 2..6
+            cells = [(m, d - m) for d in range(2, 7) for m in range(1, d)]
+        side = max(max(cell) for cell in cells)
+        value = _table_cells(kind, family, side, capsys)
+        want = [value(m, n) for m, n in cells]
+    elif seq_id == "A075561":
+        assert "king" in description
+        limit = 21  # the antidiagonals m + n = 2..7
+        want = [gamma_closed_form("king", m, d - m)
+                for d in range(2, 8) for m in range(1, d)]
+    else:
+        limit = 8
+        widths = range(limit) if seq_id == "A078057" else range(1, limit + 1)
+        want = {
+            "A001333": lambda m: closed_form_count(m),
+            "A078057": lambda m: closed_form_count(m),
+            "A124696": lambda m: closed_form_count(m, "cyclic"),
+            "A030270": lambda m: len({min(s.code, reflect(s).code)
+                                      for s in enumerate_signatures(m)}),
+            "A208716": _dihedral_classes,
+        }[seq_id]
+        want = [want(m) for m in widths]
+        if seq_id in ("A001333", "A078057"):
+            assert want == [count_signatures(m) for m in widths]
+    assert _oeis_terms(seq_id, limit, capsys) == want
+
+
+def _record_widths(monkeypatch, widest):
+    """Record the (family, width) of every engine sweep, refusing any
+    wider than `widest`."""
+    swept = []
+    series = engine._series
+
+    def recorded(family, m, *args, **kwargs):
+        assert m <= widest, f"swept {family} at width {m}"
+        swept.append((family, m))
+        return series(family, m, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "_series", recorded)
+    return swept
+
+
+def test_antidiagonals_sweep_each_cell_along_its_narrow_side(monkeypatch,
+                                                            capsys):
+    # the cells m + n <= 10 are at most 5 wide along their narrow side
+    swept = _record_widths(monkeypatch, 5)
+    assert len(_oeis_terms("A218354", 45, capsys)) == 45
+    assert max(m for _, m in swept) == 5
+    # the cells m + n <= 20 end in the 19 x 1 grid, swept at width 1
+    monkeypatch.undo()
+    _record_widths(monkeypatch, 10)
+    assert _oeis_terms("A218354", 190, capsys)[-1] == 85525
 
 
 def test_oeis_unknown_id(capsys):

@@ -33,8 +33,8 @@ def test_trim_and_degrees():
     assert poly.min_degree() == 1
     assert poly.coefficient(1) == 3
     assert poly.coefficient(17) == 0
-    zero = Polynomial.zero()
-    assert zero.is_zero()
+    zero = Polynomial(EXACT, ())
+    assert not any(zero.coefficients)
     assert zero.degree() is None
     assert zero.min_degree() is None
     assert zero.trimmed().coefficients == ()
@@ -52,7 +52,7 @@ def test_to_text():
     assert P([0, 1]).to_text() == "z"
     assert P([0, 2]).to_text() == "2z"
     assert P([1, 0, 1]).to_text() == "1 + z^2"
-    assert Polynomial.zero().to_text() == "0"
+    assert Polynomial(EXACT, ()).to_text() == "0"
 
 
 @pytest.mark.parametrize("n,expect", [
