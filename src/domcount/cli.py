@@ -21,7 +21,7 @@ from . import engine
 from .errors import GuardExceeded, VerificationError
 from .oracle import brute_force_polynomial
 from .rings import EXACT, Polynomial, Ring
-from .signatures import count_signatures, dihedral_orbits
+from .signatures import count_signatures
 
 EXIT_OK = 0
 EXIT_GUARD = 2
@@ -282,7 +282,8 @@ OEIS_REGISTRY: dict[str, tuple[int, Callable[[int], list[int]], str]] = {
     "A124696": (1, lambda k: [count_signatures(m, "cyclic")
                               for m in range(1, k + 1)],
                 "cyclic signature counts"),
-    "A208716": (1, lambda k: [len(dihedral_orbits(m)) for m in range(1, k + 1)],
+    "A208716": (1, lambda k: [count_signatures(m, "dihedral")
+                              for m in range(1, k + 1)],
                 "cyclic signatures up to rotation and reflection"),
     "A104519": (1, _sequence("gamma", "grid", _diagonal),
                 "gamma of the n x n grid"),

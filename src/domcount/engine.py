@@ -26,6 +26,14 @@ goes through :func:`_series`, the torus as its trace over one start per
 dihedral orbit.  Blocks that do not fit the memory guard together run
 apart, on a process pool: each returns per-row lane sums (and its least
 degree), which the parent joins before one readout.
+
+The memory guard budgets a block's two state arrays over the widest column
+domain beside the compiled column plans.  A poly block allocates its two
+arrays once, at the last row's degree width, and each column writes into
+the one the column before did not; a step's other temporaries are gathers
+of at most one chunk (128 KiB for poly, 256 KiB otherwise), three at a time.
+The row-end readout's copy of the states it reads and the compile's sort
+temporaries are not bounded.
 """
 
 from __future__ import annotations
@@ -62,7 +70,8 @@ _POLY_INT64_CELLS = 66
 _COUNT_INT64_CELLS = 62
 
 _LANE_PRIME_BITS = 59      # exact-run residue primes lie below 2^59
-_GATHER_BYTES = 256 << 10  # gather chunk size of every column step
+_GATHER_BYTES = 256 << 10  # gather chunk size of count and min-plus steps
+_POLY_GATHER_BYTES = 128 << 10  # of poly steps: below the mmap threshold
 _POLY_BLOCK_BYTES = 2 << 20  # state array of one block of poly starts
 
 _INF = 1 << 62  # min-plus sentinel; survives adding one per placed vertex
@@ -205,6 +214,16 @@ class _GatherPlan:
         rows = np.where(d < sizes, offsets + d, self.rows - 1)  # filler
         return self.src[rows], np.where(d < sizes, self.plain[rows], 0)
 
+    @property
+    def nbytes(self) -> int:
+        """src and plain, and the tail a step may cache: a step builds it
+        only while it fits one gather chunk of rows."""
+        tail = 0 if self.fan_in == 1 else (self.fan_in - 1) * self.layers[1][1]
+        if tail > _GATHER_BYTES // 8:
+            tail = 0
+        return (self.src.nbytes + self.plain.nbytes
+                + tail * (self.src.itemsize + self.plain.itemsize))
+
 
 @lru_cache(maxsize=64)
 def _compiled(kernel: str, m: int) -> tuple[np.ndarray, np.ndarray, tuple]:
@@ -292,10 +311,11 @@ def _keep(counts: np.ndarray, mask: np.ndarray) -> None:
 
 
 def _step(D: Optional[np.ndarray], C: Optional[np.ndarray], plan: _GatherPlan,
-          poly: bool = False):
+          into: Optional[np.ndarray] = None):
     """One column on min degrees D (states + 1, starts) and counts C
     (states + 1, starts, lanes), either one absent, or on poly coefficients
-    C (states + 1, 1 + live degrees, starts * lanes), one more degree out.
+    C (states + 1, 1 + live degrees, starts * lanes), written one degree
+    wider into the front of the flat int64 buffer `into`.
 
     Counts add over a destination's gathered rows, with degrees only rows
     at the minimum degree; the occupied move adds one to the degree.  Slot
@@ -304,6 +324,7 @@ def _step(D: Optional[np.ndarray], C: Optional[np.ndarray], plan: _GatherPlan,
     chunk of destinations, layer 0 is gathered and the later layers, summed,
     are added: float64 counts add as a0 + (a1 + a2 + ...).
     """
+    poly = into is not None
     n0 = plan.rows
     outD = None if D is None else np.empty((n0, *D.shape[1:]), np.int64)
     outC = sums = None  # sums: outC past the poly degree pad
@@ -311,7 +332,7 @@ def _step(D: Optional[np.ndarray], C: Optional[np.ndarray], plan: _GatherPlan,
         rows, width, lanes = C.shape
         windows = as_strided(C, (rows * width - width + 1, width, lanes),
                              (8 * lanes, 8 * lanes, 8), writeable=False)
-        outC = np.empty((n0, width + 1, lanes), dtype=np.int64)
+        outC = into[:n0 * (width + 1) * lanes].reshape(n0, width + 1, lanes)
         outC[:, 0] = 0
         sums = outC[:, 1:]
     elif C is not None:
@@ -327,8 +348,8 @@ def _step(D: Optional[np.ndarray], C: Optional[np.ndarray], plan: _GatherPlan,
         deg += 1 - plain[..., None]
         return deg
 
-    chunk = max(1, _GATHER_BYTES // (8 * sum(a[0].size for a in (D, C)
-                                              if a is not None)))
+    chunk = max(1, (_POLY_GATHER_BYTES if poly else _GATHER_BYTES) // (
+        8 * sum(a[0].size for a in (D, C) if a is not None)))
     for a in range(0, n0, chunk):
         b = min(a + chunk, n0)
         # the later layers in one padded block while it fits a chunk (half
@@ -388,11 +409,11 @@ def _reduce_lanes(lanes: np.ndarray, primes: np.ndarray, top: int,
 def _check_guards(kernel: str, m: int, guards: Guards, per_lane: int,
                   lanes: int = 1, shared: int = 0) -> tuple[int, int]:
     """The largest block of starts and lanes whose two state arrays over
-    the widest compiled column domain fit max_memory_bytes, as (starts,
-    lanes): every lane of as many starts as fit, else as many lanes of one
-    start.  A start carries `shared` int64 values per state plus `per_lane`
-    for each of its `lanes`.  Raises GuardExceeded when one lane of one
-    start does not fit."""
+    the widest compiled column domain fit max_memory_bytes beside the
+    compiled column plans, as (starts, lanes): every lane of as many starts
+    as fit, else as many lanes of one start.  A start carries `shared`
+    int64 values per state plus `per_lane` for each of its `lanes`.  Raises
+    GuardExceeded when one lane of one start does not fit."""
     # kinked mid-row domains never exceed three times the full-row count
     kind = "cyclic" if kernel == "cylinder" else "plain"
     bound = 3 * count_signatures(m + (kernel == "king"), kind)
@@ -401,19 +422,22 @@ def _check_guards(kernel: str, m: int, guards: Guards, per_lane: int,
             f"state bound {bound} for width {m} exceeds max_states="
             f"{guards.max_states}")
 
-    def fit(rows: int) -> int:  # int64 values per state that fit
-        estimate = 2 * rows * (shared + per_lane) * 8
-        if estimate > guards.max_memory_bytes:
+    def fit(rows: int, plans: int) -> int:  # int64 values per state that fit
+        arrays = 2 * rows * (shared + per_lane) * 8
+        if arrays + plans > guards.max_memory_bytes:
             raise GuardExceeded(
                 f"estimated working memory of one lane of one start, at "
-                f"least {estimate} bytes, exceeds max_memory_bytes="
+                f"least {arrays + plans} bytes ({arrays} of state arrays, "
+                f"{plans} of column plans), exceeds max_memory_bytes="
                 f"{guards.max_memory_bytes}")
-        return guards.max_memory_bytes // (2 * rows * 8)
+        return (guards.max_memory_bytes - plans) // (2 * rows * 8)
 
     # the last column's destinations, the full-row domain, bound the widest
     # from below: a block that cannot fit them is refused uncompiled
-    fit(count_signatures(m, kind) + 1)
-    room = fit(max(plan.rows for plan in _gather_plans(kernel, m)))
+    fit(count_signatures(m, kind) + 1, 0)
+    plans = _gather_plans(kernel, m)
+    room = fit(max(plan.rows for plan in plans),
+               sum(plan.nbytes for plan in plans))
     if shared + lanes * per_lane <= room:
         return room // (shared + lanes * per_lane), lanes
     return 1, (room - shared) // per_lane
@@ -490,11 +514,20 @@ def _sweep(kernel: str, m: int, n: Optional[int], mode: str,
     array (states + 1, 1 + degrees, starts * lanes).  Lanes are int64, one
     per modulus; counts without moduli are one float64 lane, which the
     caller may rescale in place between rows.
+
+    A poly block allocates its two state arrays once, as large as
+    :func:`_check_guards` budgets them (the widest column domain at the
+    last degree), and each column writes into the one the column before
+    did not.  The values yielded are overwritten as the next row runs, so
+    a caller reads a row (as :func:`_block_rows` and :func:`run_sweep` do)
+    before it asks for the next.
     """
+    plans = _gather_plans(kernel, m)
     size = len(_compiled(kernel, m)[0])
     cols = np.arange(len(starts))
     lanes = 1 if moduli is None else len(moduli)
     D = C = None
+    spare = itertools.repeat(None)  # the buffer each step writes into
     if mode in ("minplus", "mincount"):
         D = np.full((size + 1, len(starts)), _INF, dtype=np.int64)
         D[starts, cols] = 0
@@ -503,16 +536,22 @@ def _sweep(kernel: str, m: int, n: Optional[int], mode: str,
                      dtype=np.float64 if moduli is None else np.int64)
         C[starts, cols] = 1
     if mode == "poly":
-        C = np.zeros((size + 1, 2, len(starts) * lanes), dtype=np.int64)
+        values = (max(plan.rows for plan in plans) * (m * n + 2)
+                  * len(starts) * lanes)
+        first, second = (np.empty(values, np.int64) for _ in range(2))
+        C = first[:(size + 1) * 2 * len(starts) * lanes].reshape(
+            size + 1, 2, len(starts) * lanes)
+        C[:] = 0
         C.reshape(size + 1, 2, len(starts), lanes)[starts, 1, cols] = 1
+        spare = itertools.cycle((second, first))
     wrap, primes = prime_lanes(moduli)
     top = 1  # bounds every prime-lane value
     for _ in itertools.count() if n is None else range(n):
-        for plan in _gather_plans(kernel, m):
+        for plan in plans:
             if primes is not None:
                 top = _reduce_lanes(C.reshape(-1, lanes)[:, wrap:], primes,
                                     top, plan.fan_in)
-            D, C = _step(D, C, plan, mode == "poly")
+            D, C = _step(D, C, plan, next(spare))
         if primes is not None:
             top = _reduce_lanes(C.reshape(-1, lanes)[:, wrap:], primes, top)
         yield D, (C.reshape(size + 1, -1, len(starts), lanes)[:, 1:]
@@ -527,20 +566,18 @@ def _block_rows(job: tuple) -> Iterator[tuple]:
     is None.  Pick k is state rows[k] of start cols[k]."""
     kernel, m, n, mode, moduli, starts, rows, cols = job
     for D, C in _sweep(kernel, m, n, mode, starts, moduli):
-        deg = least = vals = None
+        least = sums = None
         if D is not None:
             deg = D[rows, cols]
             least = int(deg.min())
         if C is not None:
             vals = C[rows, cols]
-        del D, C  # held here, this row's arrays would outlive the next row
-        if vals is None:
-            yield least, None
-            continue
-        if mode == "mincount":
-            vals = vals[deg == least]
-        yield least, lane_sum(vals if mode == "poly" else vals[:, None],
-                              moduli)
+            if mode == "mincount":
+                vals = vals[deg == least]
+            sums = lane_sum(vals if mode == "poly" else vals[:, None], moduli)
+        # held here, this row's arrays and picks would outlive the next row
+        D = C = deg = vals = None
+        yield least, sums
 
 
 def _run_block(job) -> list[tuple]:

@@ -10,11 +10,13 @@ the last column back to the first.
 
 This module also carries the counting formulas for signatures: the Pell-style
 recurrence for plain signatures, the cyclic recurrence, the kinked variant
-used for partially filled rows, and the reflection-reduced count.
+used for partially filled rows, the reflection-reduced count, and the count
+of cyclic signatures up to rotation and reflection.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
@@ -185,8 +187,9 @@ def _cyclic_counts(limit: int) -> tuple[int, ...]:
 def count_signatures(m: int, variant: str = "plain", c: Optional[int] = None) -> int:
     """Count signatures of width m by integer recurrence.
 
-    variant: "plain", "cyclic", "kinked" (requires the kink column c), or
-    "reflection_reduced" (signatures up to mirror image).
+    variant: "plain", "cyclic", "kinked" (requires the kink column c),
+    "reflection_reduced" (signatures up to mirror image), or "dihedral"
+    (cyclic signatures up to rotation and reflection).
     """
     if m < 0:
         raise ValueError("width must be nonnegative")
@@ -208,6 +211,23 @@ def count_signatures(m: int, variant: str = "plain", c: Optional[int] = None) ->
         # Burnside over {identity, reflection}: fixed points of the
         # reflection are the palindromes, determined by their first half
         return (_plain_counts(m)[m] + _plain_counts((m + 1) // 2)[(m + 1) // 2]) // 2
+    if variant == "dihedral":
+        if m < 1:
+            raise ValueError("the dihedral variant needs a width of at least 1")
+        # Burnside over the m rotations and m reflections of the cycle.  A
+        # rotation by k fixes the cyclic signatures of width gcd(k, m),
+        # repeated.  A reflection fixes the palindromes of the cycle, whose
+        # half from axis to axis is a plain signature: of (m + 1) / 2 cells
+        # for odd m; for even m, of m / 2 + 1 cells when the axis passes
+        # through two cells and m / 2 when it passes through two edges.
+        plain = _plain_counts(m // 2 + 1)
+        fixed = sum(count_signatures(math.gcd(k, m), "cyclic")
+                    for k in range(m))
+        if m % 2:
+            fixed += m * plain[(m + 1) // 2]
+        else:
+            fixed += m // 2 * (plain[m // 2 + 1] + plain[m // 2])
+        return fixed // (2 * m)
     raise ValueError(f"unknown variant {variant!r}")
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import domcount
-from domcount import cli, engine
+from domcount import cli, engine, signatures
 from domcount.analysis import gamma_closed_form
 from domcount.engine import GraphSpec, domination_polynomial, run_sweep
 from domcount.errors import VerificationError
@@ -288,6 +288,18 @@ def test_oeis_terms_match_an_independent_reading(seq_id, capsys):
         if seq_id in ("A001333", "A078057"):
             assert want == [count_signatures(m) for m in widths]
     assert _oeis_terms(seq_id, limit, capsys) == want
+
+
+def test_dihedral_classes_are_counted_without_enumerating(monkeypatch,
+                                                          capsys):
+    # 45 terms, past the widest signature a code holds: the classes are
+    # counted, never enumerated
+    def refused(*args, **kwargs):
+        raise AssertionError("signatures enumerated")
+
+    monkeypatch.setattr(signatures, "signature_codes", refused)
+    terms = _oeis_terms("A208716", 45, capsys)
+    assert terms[:7] == [3, 5, 7, 12, 18, 34, 56]
 
 
 def _record_widths(monkeypatch, widest):

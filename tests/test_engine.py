@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import islice
 
 import numpy as np
@@ -279,15 +280,23 @@ def test_count_lanes_past_62_cells(appendix_poly, grid_totals):
     assert count_series("grid", 11, 11)[-1] == grid_totals[11]
 
 
+def guard_for(kernel, m, values):
+    """The least guard that fits two state arrays of `values` int64 values
+    per state over the widest column domain, beside the column plans."""
+    plans = engine._gather_plans(kernel, m)
+    rows = max(plan.rows for plan in plans)
+    return Guards(max_memory_bytes=2 * rows * values * 8
+                  + sum(plan.nbytes for plan in plans))
+
+
 @pytest.mark.parametrize("m, n", [(6, 6), (5, 13), (5, 14)])
 def test_torus_start_blocks_do_not_change_the_result(m, n):
     # 5x13 has 65 cells, so its counts run in the int64 lane and a prime
     # lane; 5x14 has 70, so its exact polynomial carries two lanes per start
     whole = (count_series("torus", m, n), gamma_series("torus", m, n),
              mincount_series("torus", m, n))
-    rows = max(plan.rows for plan in engine._gather_plans("cylinder", m))
     # two state arrays of int64: room for nine starts of one value each
-    guards = Guards(max_memory_bytes=9 * 2 * rows * 8)
+    guards = guard_for("cylinder", m, 9)
     starts, _ = engine._check_guards("cylinder", m, guards, 1)
     assert 1 < starts < len(dihedral_orbits(m))
     assert (count_series("torus", m, n, guards=guards),
@@ -298,7 +307,7 @@ def test_torus_start_blocks_do_not_change_the_result(m, n):
     for ring in (EXACT, Ring(2147483647)):
         moduli, _ = engine._plan_lanes("cylinder", m, m * n, "poly",
                                        ring.modulus, DEFAULT_GUARDS)
-        one = Guards(max_memory_bytes=2 * rows * len(moduli) * (m * n + 2) * 8)
+        one = guard_for("cylinder", m, len(moduli) * (m * n + 2))
         assert engine._plan_lanes("cylinder", m, m * n, "poly", ring.modulus,
                                   one)[1] == (1, len(moduli))
         series = polynomial_series("torus", m, n, ring=ring)
@@ -316,6 +325,45 @@ def test_poly_blocks_hold_several_starts():
         _, (block, _) = engine._plan_lanes("cylinder", m, m * n, "poly", None,
                                            DEFAULT_GUARDS)
         assert min(block, len(dihedral_orbits(m))) == starts
+
+
+def test_a_poly_block_sweeps_in_two_buffers():
+    # torus 4x6 from every start orbit, in the int64 lane and a prime lane
+    m, n = 4, 6
+    starts = engine._start_indices("cylinder", m, [code for code, _ in
+                                                   dihedral_orbits(m)])
+    moduli = np.array([0, 2147483647], dtype=np.int64)
+    owners = []
+    for k, (_, V) in enumerate(engine._sweep("cylinder", m, n, "poly", starts,
+                                             moduli), 1):
+        assert V.shape[1:] == (len(starts), m * k + 1, 2)
+        while V.base is not None:
+            V = V.base
+        owners.append(V)
+    assert len(owners) == n
+    assert len({id(owner) for owner in owners}) <= 2
+
+
+def test_poly_sweep_memory_stays_within_the_guard_estimate():
+    # the plans compile before the trace, whose peak then holds the two
+    # state arrays, the gathers of one step (the later layers summed so
+    # far, the last one added and the next), the row-end readout and small
+    # arrays of the sweep; the compile's own temporaries are not bounded
+    kernel, m, n = "grid", 8, 8
+    plans = engine._gather_plans(kernel, m)
+    engine._covered_rows(kernel, m)
+    tracemalloc.start()
+    try:
+        polynomial_series(kernel, m, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    rows = max(plan.rows for plan in plans)
+    moduli, _ = engine._plan_lanes(kernel, m, m * n, "poly", None,
+                                   DEFAULT_GUARDS)
+    arrays = 2 * rows * len(moduli) * (m * n + 2) * 8  # of the one start
+    assert arrays < peak <= arrays + sum(plan.nbytes for plan in plans) \
+        + 3 * engine._POLY_GATHER_BYTES
 
 
 # one lane per block, on one process and on two: grid 10x10 carries the
@@ -341,9 +389,8 @@ def test_lane_blocks_do_not_change_the_result(mode, family, m, n,
     moduli, (_, width) = engine._plan_lanes(kernel, m, m * n, mode, None,
                                             DEFAULT_GUARDS)
     assert width == len(moduli) == 2  # every lane in one block by default
-    rows = max(plan.rows for plan in engine._gather_plans(kernel, m))
     per_lane = m * n + 2 if mode == "poly" else 2  # mincount: + the degrees
-    one = Guards(max_memory_bytes=2 * rows * per_lane * 8)
+    one = guard_for(kernel, m, per_lane)
     assert engine._plan_lanes(kernel, m, m * n, mode, None, one)[1] == (1, 1)
     whole = series(DEFAULT_GUARDS)
     for workers in (1, 2):
@@ -367,8 +414,7 @@ def test_torus_blocks_report_progress_as_they_finish(monkeypatch):
     monkeypatch.setattr(engine, "_run_block",
                         lambda job: (events.append("run"), run(job))[1])
     m, n = 4, 8
-    rows = max(plan.rows for plan in engine._gather_plans("cylinder", m))
-    one = Guards(max_memory_bytes=2 * rows * (m * n + 2) * 8)
+    one = guard_for("cylinder", m, m * n + 2)
     blocks = len(dihedral_orbits(m))
     series = polynomial_series("torus", m, n, guards=one,
                                progress=lambda *call: events.append(call))

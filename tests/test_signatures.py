@@ -166,6 +166,13 @@ def test_dihedral_orbit_counts():
     assert [len(dihedral_orbits(m)) for m in range(1, 8)] == [3, 5, 7, 12, 18, 34, 56]
 
 
+def test_dihedral_count_by_burnside_matches_the_orbits():
+    for m in range(1, 13):
+        assert count_signatures(m, "dihedral") == len(dihedral_orbits(m))
+    with pytest.raises(ValueError):
+        count_signatures(0, "dihedral")
+
+
 @pytest.mark.parametrize("m", range(1, 9))
 def test_dihedral_orbits_partition_the_cyclic_signatures(m):
     orbits = dihedral_orbits(m)
