@@ -78,8 +78,6 @@ def _check_digits(precision_digits: int) -> None:
 
 def _growth_sample(family: str, m: int, precision_digits: int, n_cap: int,
                    guards: engine.Guards) -> GrowthSample:
-    if family == "torus":
-        raise ValueError("torus growth equals the cylinder's; compute that")
     _check_digits(precision_digits)
     with mpmath.workdps(_WORK_DPS):
         tol = mpmath.mpf(10) ** (-precision_digits)

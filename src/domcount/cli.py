@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Optional, Sequence
 
@@ -31,59 +30,35 @@ EXIT_USAGE = 4
 _PROGRESS_CELLS = 400  # emit per-row progress past this instance size
 
 
-@dataclass(frozen=True)
-class RunRequest:
-    """A parsed, validated invocation."""
-
-    command: str
-    family: Optional[str] = None
-    m: Optional[int] = None
-    n: Optional[int] = None
-    m_range: Optional[tuple[int, int]] = None
-    n_range: Optional[tuple[int, int]] = None
-    modulus: Optional[int] = None
-    fmt: str = "text"
-    workers: int = 0
-    max_states: int = engine.DEFAULT_GUARDS.max_states
-    max_memory: int = engine.DEFAULT_GUARDS.max_memory_bytes
-
-    def __post_init__(self) -> None:
-        for rng in (self.m_range, self.n_range):
-            if rng is not None and rng[0] > rng[1]:
-                raise ValueError("empty range")
-            if rng is not None and rng[0] < 1:
-                raise ValueError("ranges start at 1")
-        if self.workers < 0:
-            raise ValueError("--workers must be 0 (all cores) or more")
-        if self.max_states < 1:
-            raise ValueError("--max-states must be at least 1")
-        if self.max_memory < 1:
-            raise ValueError("--max-mem and DOMCOUNT_MAX_MEM must be at least 1")
-
-    @property
-    def guards(self) -> engine.Guards:
-        return engine.Guards(self.max_states, self.max_memory)
-
-    @property
-    def effective_workers(self) -> int:
-        return self.workers if self.workers > 0 else (os.cpu_count() or 1)
-
-    @property
-    def ring(self) -> Ring:
-        return EXACT if self.modulus is None else Ring(self.modulus)
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits 2; we reserve that
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _parse_range(text: str) -> tuple[int, int]:
+def _integer(lo: int, hi: Optional[int] = None) -> Callable[[str], int]:
+    """An argparse type: an integer in lo..hi, or at least lo for no hi."""
+    def integer(text: str) -> int:  # argparse names a ValueError by it
+        value = int(text)
+        if value < lo or (hi is not None and value > hi):
+            raise argparse.ArgumentTypeError(
+                f"must be at least {lo}" if hi is None
+                else f"must be in {lo}..{hi}")
+        return value
+    return integer
+
+
+def _range(text: str) -> range:
+    """An argparse type: range(LO, HI + 1) from LO:HI, or from one value
+    LO, with 1 <= LO <= HI."""
     lo, _, hi = text.partition(":")
     try:
-        return (int(lo), int(hi)) if hi else (int(lo), int(lo))
+        lo, hi = int(lo), int(hi or lo)
+        if 1 <= lo <= hi:
+            return range(lo, hi + 1)
     except ValueError:
-        raise ValueError(f"bad range {text!r}, expected LO:HI") from None
+        pass
+    raise argparse.ArgumentTypeError(
+        f"bad range {text!r}, expected LO:HI with 1 <= LO <= HI")
 
 
 def _build_parser() -> _Parser:
@@ -91,25 +66,25 @@ def _build_parser() -> _Parser:
                      description="Exact domination polynomial counting on "
                                  "grid, cylinder, torus, and king lattices.")
     sub = parser.add_subparsers(dest="command", required=True)
+    positive = _integer(1)
 
     def common(p, ranges=False):
-        p.add_argument("--family", required=True,
-                       choices=("grid", "cylinder", "torus", "king"))
+        p.add_argument("--family", required=True, choices=engine.FAMILIES)
         if ranges:
-            p.add_argument("--m-range", default=None)
-            p.add_argument("--n-range", default=None)
+            p.add_argument("--m-range", type=_range, default="1:8")
+            p.add_argument("--n-range", type=_range, default="1:8")
         else:
-            p.add_argument("-m", type=int, required=True)
-            p.add_argument("-n", type=int, required=True)
-        p.add_argument("--max-states", type=int,
+            p.add_argument("-m", type=positive, required=True)
+            p.add_argument("-n", type=positive, required=True)
+        p.add_argument("--max-states", type=positive,
                        default=engine.DEFAULT_GUARDS.max_states)
-        p.add_argument("--max-mem", type=int,
+        p.add_argument("--max-mem", type=positive,
                        default=engine.DEFAULT_GUARDS.max_memory_bytes,
                        help="bytes; DOMCOUNT_MAX_MEM overrides")
 
     p = sub.add_parser("poly", help="full domination polynomial")
     common(p)
-    p.add_argument("--workers", type=int, default=0,
+    p.add_argument("--workers", type=_integer(0), default=0,
                    help="0 = use available parallelism")
     p.add_argument("--mod", type=int, default=None, metavar="P")
     p.add_argument("--format", default="text", choices=("text", "json", "csv"))
@@ -123,41 +98,27 @@ def _build_parser() -> _Parser:
     p.add_argument("--format", default="csv", choices=("csv", "json"))
 
     p = sub.add_parser("growth", help="growth constant estimate")
-    p.add_argument("--family", required=True,
-                   choices=("grid", "cylinder", "torus", "king"))
-    p.add_argument("--m-range", default="3:12")
+    p.add_argument("--family", required=True, choices=engine.FAMILIES)
+    p.add_argument("--m-range", type=_range, default="3:12")
     p.add_argument("--digits", type=int, default=13)
-    p.add_argument("--n-cap", type=int, default=400)
-    p.add_argument("--workers", type=int, default=0)
+    p.add_argument("--n-cap", type=positive, default=400)
+    p.add_argument("--workers", type=_integer(0), default=0)
     p.add_argument("--format", default="json", choices=("json", "text"))
+    # no guard options, but growth's sweeps honour DOMCOUNT_MAX_MEM
+    p.set_defaults(max_states=engine.DEFAULT_GUARDS.max_states,
+                   max_mem=engine.DEFAULT_GUARDS.max_memory_bytes)
 
     p = sub.add_parser("oeis", help="emit a registered sequence as b-file lines")
     p.add_argument("id")
-    p.add_argument("--limit", type=int, default=8)
+    p.add_argument("--limit", type=positive, default=8)
 
     p = sub.add_parser("verify", help="self-check against oracle and tables")
-    p.add_argument("--max-cells", type=int, default=16)
+    p.add_argument("--max-cells", type=_integer(1, 24), default=16)
     return parser
 
 
-def _request_from_args(args: argparse.Namespace) -> RunRequest:
-    max_memory = getattr(args, "max_mem", engine.DEFAULT_GUARDS.max_memory_bytes)
-    env = os.environ.get("DOMCOUNT_MAX_MEM")
-    if env is not None:
-        max_memory = int(env)
-    return RunRequest(
-        command=args.command,
-        family=getattr(args, "family", None),
-        m=getattr(args, "m", None),
-        n=getattr(args, "n", None),
-        m_range=_parse_range(args.m_range) if getattr(args, "m_range", None) else None,
-        n_range=_parse_range(args.n_range) if getattr(args, "n_range", None) else None,
-        modulus=getattr(args, "mod", None),
-        fmt=getattr(args, "format", "text"),
-        workers=getattr(args, "workers", 0),
-        max_states=getattr(args, "max_states", engine.DEFAULT_GUARDS.max_states),
-        max_memory=max_memory,
-    )
+def _guards(args: argparse.Namespace) -> engine.Guards:
+    return engine.Guards(args.max_states, args.max_mem)
 
 
 # ------------------------------------------------------------------ output
@@ -185,34 +146,33 @@ def _progress_printer(cells: int) -> Callable[[int, int, str], None]:
     return show
 
 
-def cmd_poly(req: RunRequest) -> int:
-    spec = engine.GraphSpec(req.family, req.m, req.n)
+def cmd_poly(args: argparse.Namespace) -> int:
+    spec = engine.GraphSpec(args.family, args.m, args.n)
     poly = engine.domination_polynomial(
-        spec, ring=req.ring, guards=req.guards, workers=req.effective_workers,
+        spec, ring=EXACT if args.mod is None else Ring(args.mod),
+        guards=_guards(args), workers=args.workers or os.cpu_count() or 1,
         progress=_progress_printer(spec.cells))
-    sys.stdout.write(_render_poly(poly, req.fmt))
+    sys.stdout.write(_render_poly(poly, args.format))
     return EXIT_OK
 
 
-def cmd_count(req: RunRequest) -> int:
-    spec = engine.GraphSpec(req.family, req.m, req.n)
-    sys.stdout.write(f"{engine.count_dominating(spec, guards=req.guards)}\n")
+def cmd_count(args: argparse.Namespace) -> int:
+    spec = engine.GraphSpec(args.family, args.m, args.n)
+    sys.stdout.write(f"{engine.count_dominating(spec, _guards(args))}\n")
     return EXIT_OK
 
 
-def cmd_table(req: RunRequest, kind: str) -> int:
-    m_lo, m_hi = req.m_range or (1, 8)
-    n_lo, n_hi = req.n_range or (1, 8)
-    ms = list(range(m_lo, m_hi + 1))
-    ns = list(range(n_lo, n_hi + 1))
-    values = engine.table_values(kind, req.family,
-                                 [(m, n) for n in ns for m in ms], req.guards)
+def cmd_table(args: argparse.Namespace) -> int:
+    ms, ns = list(args.m_range), list(args.n_range)
+    values = engine.table_values(args.kind, args.family,
+                                 [(m, n) for n in ns for m in ms],
+                                 _guards(args))
     rows = [values[i:i + len(ms)] for i in range(0, len(values), len(ms))]
-    if req.fmt == "json":
-        if kind != "gamma":
+    if args.format == "json":
+        if args.kind != "gamma":
             rows = [[str(v) for v in row] for row in rows]
         sys.stdout.write(json.dumps(
-            {"kind": kind, "family": req.family, "m_values": ms,
+            {"kind": args.kind, "family": args.family, "m_values": ms,
              "n_values": ns, "rows": rows}) + "\n")
         return EXIT_OK
     lines = ["n/m," + ",".join(str(m) for m in ms)]
@@ -222,18 +182,15 @@ def cmd_table(req: RunRequest, kind: str) -> int:
     return EXIT_OK
 
 
-def cmd_growth(req: RunRequest, digits: int, n_cap: int) -> int:
+def cmd_growth(args: argparse.Namespace) -> int:
     import mpmath
 
     from . import analysis  # mpmath loads only for growth
-    if n_cap < 1:
-        raise ValueError("--n-cap must be at least 1")
-    m_lo, m_hi = req.m_range
-    est = analysis.estimate_growth(req.family, m_lo, m_hi,
-                                   precision_digits=digits, n_cap=n_cap,
-                                   workers=req.effective_workers,
-                                   guards=req.guards)
-    if req.fmt == "json":
+    est = analysis.estimate_growth(
+        args.family, args.m_range[0], args.m_range[-1],
+        precision_digits=args.digits, n_cap=args.n_cap,
+        workers=args.workers or os.cpu_count() or 1, guards=_guards(args))
+    if args.format == "json":
         sys.stdout.write(json.dumps(est.to_json()) + "\n")
         return EXIT_OK
     lines = [f"m={s.m} n_used={s.n_used} mu_m={mpmath.nstr(s.mu, 20)}"
@@ -317,16 +274,13 @@ OEIS_REGISTRY: dict[str, tuple[int, Callable[[int], list[int]], str]] = {
 }
 
 
-def cmd_oeis(seq_id: str, limit: int) -> int:
-    entry = OEIS_REGISTRY.get(seq_id)
+def cmd_oeis(args: argparse.Namespace) -> int:
+    entry = OEIS_REGISTRY.get(args.id)
     if entry is None:
-        raise ValueError(f"unknown sequence id {seq_id!r}; known: "
+        raise ValueError(f"unknown sequence id {args.id!r}; known: "
                          + ", ".join(sorted(OEIS_REGISTRY)))
-    if limit < 1:
-        raise ValueError("--limit must be at least 1")
     offset, gen, _ = entry
-    values = gen(limit)
-    for i, v in enumerate(values, start=offset):
+    for i, v in enumerate(gen(args.limit), start=offset):
         sys.stdout.write(f"{i} {v}\n")
     return EXIT_OK
 
@@ -352,9 +306,7 @@ def _fixture_poly(data: dict, family: str, n: int) -> Optional[tuple[int, list[i
     return md, coeffs, notes
 
 
-def cmd_verify(max_cells: int) -> int:
-    if not 1 <= max_cells <= 24:
-        raise ValueError("--max-cells must be in 1..24")
+def cmd_verify(args: argparse.Namespace) -> int:
     report = []
     failures = []
 
@@ -367,11 +319,11 @@ def cmd_verify(max_cells: int) -> int:
             report.append(f"FAIL {label}: got {got}, want {want}")
 
     for family in engine.FAMILIES:
-        for m in range(1, max_cells + 1):
-            for n in range(1, max_cells // m + 1):
+        for m in range(1, args.max_cells + 1):
+            for n in range(1, args.max_cells // m + 1):
                 spec = engine.GraphSpec(family, m, n)
                 got = engine.domination_polynomial(spec).trimmed()
-                want = brute_force_polynomial(spec, cell_guard=max_cells).trimmed()
+                want = brute_force_polynomial(spec, cell_guard=args.max_cells).trimmed()
                 if got.coefficients != want.coefficients:
                     diff = next(d for d in range(max(got.degree(), want.degree()) + 1)
                                 if got.coefficient(d) != want.coefficient(d))
@@ -434,18 +386,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        req = _request_from_args(args)
-        if req.command == "poly":
-            return cmd_poly(req)
-        if req.command == "count":
-            return cmd_count(req)
-        if req.command == "table":
-            return cmd_table(req, args.kind)
-        if req.command == "growth":
-            return cmd_growth(req, args.digits, args.n_cap)
-        if req.command == "oeis":
-            return cmd_oeis(args.id, args.limit)
-        return cmd_verify(args.max_cells)
+        env = os.environ.get("DOMCOUNT_MAX_MEM")
+        if env is not None:
+            try:
+                args.max_mem = _integer(1)(env)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                parser.error(f"DOMCOUNT_MAX_MEM: {exc}")
+        # looked up per call, so that cmd_* can be replaced
+        return globals()[f"cmd_{args.command}"](args)
     except GuardExceeded as exc:
         print(f"domcount: guard exceeded: {exc}", file=sys.stderr)
         return EXIT_GUARD

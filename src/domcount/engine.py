@@ -19,21 +19,22 @@ int64 lane that is never reduced, so it holds every value modulo 2^64 --
 alone while values provably fit, else beside lanes of primes below 2^59,
 recombined by the Chinese remainder theorem; ``--mod`` runs one lane of its
 prime.  Prime lanes are reduced only when another step could pass 2^63, and
-at every row end.  Growth runs counts in one float64 lane, renormalized
-every row.  One row loop, :func:`_sweep`, runs every mode on a block of
-starts and lanes (poly folds the starts into the lane axis); every series
-goes through :func:`_series`, the torus as its trace over one start per
-dihedral orbit.  Blocks that do not fit the memory guard together run
-apart, on a process pool: each returns per-row lane sums (and its least
-degree), which the parent joins before one readout.
+at every row end.  One row loop, :func:`_sweep`, runs every mode on a
+block of starts and lanes (poly folds the starts into the lane axis); every
+series goes through :func:`_series`, the torus as its trace over one start
+per dihedral orbit, and growth as an unbounded count series in one float64
+lane, which :func:`_block_rows` rescales by its readout after every row.
+Blocks that do not fit the memory guard together run apart, on a process
+pool: each returns per-row lane sums (and its least degree), which the
+parent joins before one readout.
 
 The memory guard budgets a block's two state arrays over the widest column
 domain beside the compiled column plans.  A poly block allocates its two
 arrays once, at the last row's degree width, and each column writes into
 the one the column before did not; a step's other temporaries are gathers
 of at most one chunk (128 KiB for poly, 256 KiB otherwise), three at a time.
-The row-end readout's copy of the states it reads and the compile's sort
-temporaries are not bounded.
+The row-end readout copies the exact states it reads a 128 KiB chunk at a
+time; the compile's sort temporaries are not bounded.
 """
 
 from __future__ import annotations
@@ -406,14 +407,54 @@ def _reduce_lanes(lanes: np.ndarray, primes: np.ndarray, top: int,
 
 # ------------------------------------------------------------ sweep driver
 
-def _check_guards(kernel: str, m: int, guards: Guards, per_lane: int,
-                  lanes: int = 1, shared: int = 0) -> tuple[int, int]:
-    """The largest block of starts and lanes whose two state arrays over
-    the widest compiled column domain fit max_memory_bytes beside the
-    compiled column plans, as (starts, lanes): every lane of as many starts
-    as fit, else as many lanes of one start.  A start carries `shared`
-    int64 values per state plus `per_lane` for each of its `lanes`.  Raises
-    GuardExceeded when one lane of one start does not fit."""
+@lru_cache(maxsize=None)
+def _lane_primes(bits: int) -> tuple[int, ...]:
+    """Primes whose product is at least 2^bits: as few as primes below 2^59
+    need, taken below the smallest power of two that needs no more, so that
+    lanes go longer between reductions."""
+    if bits < 1:
+        return ()
+    lanes = len(covering_primes(bits, _LANE_PRIME_BITS))
+    width = max(2, -(-bits // lanes))
+    while len(primes := covering_primes(bits, width)) > lanes:
+        width += 1
+    return primes
+
+
+def _plan_lanes(kernel: str, m: int, cells: Optional[int], mode: str,
+                modulus: Optional[int], guards: Guards,
+                ) -> tuple[Optional[np.ndarray], tuple[int, int]]:
+    """Residue moduli, one per lane, and the block one sweep carries:
+    (starts, lanes).
+
+    An exact sweep carries the int64 lane first, modulus 0: it is never
+    reduced, and since NumPy's integer arithmetic wraps, it holds every
+    value modulo 2^64.  It is the only lane up to _POLY_INT64_CELLS cells
+    for polynomials and _COUNT_INT64_CELLS for counts; past that, prime
+    lanes from :func:`_lane_primes` cover the rest of 2^(cells+1), which
+    bounds every value.  `modulus` gives one lane of that prime; min-plus
+    sweeps and unbounded count sweeps (cells None: growth's one float64
+    lane) carry no moduli (None).  A step adds up to fan-in residues and a
+    readout block at least two, so a prime P is admissible while
+    max(fan-in, 2)*(P-1) < 2^63.  A block is the largest whose two state
+    arrays over the widest column domain fit max_memory_bytes beside the
+    column plans: every lane of as many starts as fit, else as many lanes
+    of one start; a poly block keeps its state array near
+    _POLY_BLOCK_BYTES (the step is memory-bound).  Raises GuardExceeded
+    when one lane of one start does not fit.
+    """
+    int64_cells = _POLY_INT64_CELLS if mode == "poly" else _COUNT_INT64_CELLS
+    if mode == "minplus" or cells is None:
+        moduli = ()
+    elif modulus is not None:
+        moduli = (modulus,)
+    elif cells <= int64_cells:
+        moduli = (0,)
+    else:
+        moduli = (0, *_lane_primes(cells + 1 - 64))
+    shared = int(mode in ("minplus", "mincount"))
+    per_lane = cells + 2 if mode == "poly" else int(mode != "minplus")
+    lanes = max(len(moduli), 1)
     # kinked mid-row domains never exceed three times the full-row count
     kind = "cyclic" if kernel == "cylinder" else "plain"
     bound = 3 * count_signatures(m + (kernel == "king"), kind)
@@ -436,65 +477,18 @@ def _check_guards(kernel: str, m: int, guards: Guards, per_lane: int,
     # from below: a block that cannot fit them is refused uncompiled
     fit(count_signatures(m, kind) + 1, 0)
     plans = _gather_plans(kernel, m)
-    room = fit(max(plan.rows for plan in plans),
-               sum(plan.nbytes for plan in plans))
+    rows = max(plan.rows for plan in plans)
+    room = fit(rows, sum(plan.nbytes for plan in plans))
     if shared + lanes * per_lane <= room:
-        return room // (shared + lanes * per_lane), lanes
-    return 1, (room - shared) // per_lane
-
-
-@lru_cache(maxsize=None)
-def _lane_primes(bits: int) -> tuple[int, ...]:
-    """Primes whose product is at least 2^bits: as few as primes below 2^59
-    need, taken below the smallest power of two that needs no more, so that
-    lanes go longer between reductions."""
-    if bits < 1:
-        return ()
-    lanes = len(covering_primes(bits, _LANE_PRIME_BITS))
-    width = max(2, -(-bits // lanes))
-    while len(primes := covering_primes(bits, width)) > lanes:
-        width += 1
-    return primes
-
-
-def _plan_lanes(kernel: str, m: int, cells: int, mode: str,
-                modulus: Optional[int], guards: Guards,
-                ) -> tuple[Optional[np.ndarray], tuple[int, int]]:
-    """Residue moduli, one per lane, and the block one sweep carries:
-    (starts, lanes).
-
-    An exact sweep carries the int64 lane first, modulus 0: it is never
-    reduced, and since NumPy's integer arithmetic wraps, it holds every
-    value modulo 2^64.  It is the only lane up to _POLY_INT64_CELLS cells
-    for polynomials and _COUNT_INT64_CELLS for counts; past that, prime
-    lanes from :func:`_lane_primes` cover the rest of 2^(cells+1), which
-    bounds every value.  `modulus` gives one lane of that prime; min-plus
-    sweeps carry no moduli (None).  A step adds up to fan-in residues and a
-    readout block at least two, so a prime P is admissible while
-    max(fan-in, 2)*(P-1) < 2^63.  A block holds what
-    :func:`_check_guards` fits; a poly block keeps its state array near
-    _POLY_BLOCK_BYTES (the step is memory-bound).
-    """
-    int64_cells = _POLY_INT64_CELLS if mode == "poly" else _COUNT_INT64_CELLS
-    if mode == "minplus":
-        moduli = ()
-    elif modulus is not None:
-        moduli = (modulus,)
-    elif cells <= int64_cells:
-        moduli = (0,)
+        block, width = room // (shared + lanes * per_lane), lanes
     else:
-        moduli = (0, *_lane_primes(cells + 1 - 64))
-    per_lane = cells + 2 if mode == "poly" else int(mode != "minplus")
-    block, width = _check_guards(kernel, m, guards, per_lane,
-                                 max(len(moduli), 1),
-                                 int(mode in ("minplus", "mincount")))
+        block, width = 1, (room - shared) // per_lane
     if mode == "poly":
-        rows = max(plan.rows for plan in _gather_plans(kernel, m))
         block = max(1, min(block, _POLY_BLOCK_BYTES // (8 * rows * width
                                                         * per_lane)))
     if not moduli:
         return None, (block, width)
-    fan_in = max(2, *(plan.fan_in for plan in _gather_plans(kernel, m)))
+    fan_in = max(2, *(plan.fan_in for plan in plans))
     limit = (2**63 - 1) // fan_in + 1
     if max(moduli) > limit:
         raise ValueError(
@@ -512,11 +506,12 @@ def _sweep(kernel: str, m: int, n: Optional[int], mode: str,
     are (states + 1, starts), counts (states + 1, starts, lanes) and poly
     coefficients (states + 1, starts, degrees, lanes), a view of the state
     array (states + 1, 1 + degrees, starts * lanes).  Lanes are int64, one
-    per modulus; counts without moduli are one float64 lane, which the
-    caller may rescale in place between rows.
+    per modulus; counts without moduli are one float64 lane, growth's
+    unbounded sweep through :func:`_series`, which :func:`_block_rows`
+    rescales in place between rows.
 
     A poly block allocates its two state arrays once, as large as
-    :func:`_check_guards` budgets them (the widest column domain at the
+    :func:`_plan_lanes` budgets them (the widest column domain at the
     last degree), and each column writes into the one the column before
     did not.  The values yielded are overwritten as the next row runs, so
     a caller reads a row (as :func:`_block_rows` and :func:`run_sweep` do)
@@ -563,20 +558,30 @@ def _block_rows(job: tuple) -> Iterator[tuple]:
     partial readout of its picked entries: their least degree, and their
     lane sums, (degrees, lanes) for poly and (1, lanes) for counts, in
     mincount of the picks at that degree; a part the mode does not carry
-    is None.  Pick k is state rows[k] of start cols[k]."""
+    is None.  Pick k is state rows[k] of start cols[k].  Exact picks are
+    copied _POLY_GATHER_BYTES at a time; a float64 lane sums in one, in pick
+    order, and is divided by its sum: row n reads T(n) / T(n-1)."""
     kernel, m, n, mode, moduli, starts, rows, cols = job
     for D, C in _sweep(kernel, m, n, mode, starts, moduli):
         least = sums = None
+        r, c = rows, cols
         if D is not None:
             deg = D[rows, cols]
             least = int(deg.min())
+            if C is not None:  # mincount: the picks at the least degree
+                r, c = rows[deg == least], cols[deg == least]
         if C is not None:
-            vals = C[rows, cols]
-            if mode == "mincount":
-                vals = vals[deg == least]
-            sums = lane_sum(vals if mode == "poly" else vals[:, None], moduli)
-        # held here, this row's arrays and picks would outlive the next row
-        D = C = deg = vals = None
+            V = C if mode == "poly" else C[:, :, None]  # (..., k, lanes)
+            if moduli is None:
+                sums = V[r, c].sum(axis=0)
+                C /= sums[0, 0]
+            else:
+                step = max(1, _POLY_GATHER_BYTES // V[0, 0].nbytes)
+                sums = lane_sum(np.stack(
+                    [lane_sum(V[r[a:a + step], c[a:a + step]], moduli)
+                     for a in range(0, len(r), step)]), moduli)
+        # held here, this row's arrays would outlive the next row
+        D = C = V = deg = None
         yield least, sums
 
 
@@ -606,6 +611,8 @@ def _aggregate(mode: str, parts: list[tuple], groups: list):
     least = None if parts[0][0] is None else min(g for g, _ in parts)
     if mode == "minplus":
         return least
+    if groups[0] is None:  # the float64 lane, in one block
+        return float(parts[0][1][0, 0])
     sums = [lane_sum(np.stack([lanes for g, lanes in parts[j::len(groups)]
                                if g == least]), group)
             for j, group in enumerate(groups)]
@@ -615,24 +622,25 @@ def _aggregate(mode: str, parts: list[tuple], groups: list):
     return values[0] if mode == "count" else (least, values[0])
 
 
-def _series(family: str, m: int, n: int, mode: str, guards: Guards,
+def _series(family: str, m: int, n: Optional[int], mode: str, guards: Guards,
             modulus: Optional[int] = None, workers: int = 1,
             progress: Optional[Callable[[int, int, str], None]] = None,
             ) -> Iterator:
-    """Per-row readouts for n = 1..n: coefficient lists in poly mode, else
-    what :func:`_aggregate` returns.  Open boards start from the all-covered
-    row and read every state without an uncovered cell.  The torus runs one
-    start per dihedral orbit and reads its diagonal entry once per orbit
-    member: rotating or reflecting a start permutes rows and columns of the
-    transfer operator alike.  Starts and lanes run in blocks sized by
-    :func:`_plan_lanes`, on up to `workers` processes; `progress(done, total,
-    unit)` follows each row ("row") of one block, or each of several blocks
-    ("block"), since the rows of a block complete only with its last.
+    """Per-row readouts for n = 1..n, unbounded for None: coefficient lists
+    in poly mode, else what :func:`_aggregate` returns.  Open boards start
+    from the all-covered row and read every state without an uncovered
+    cell.  The torus runs one start per dihedral orbit and reads its
+    diagonal entry once per orbit member: rotating or reflecting a start
+    permutes rows and columns of the transfer operator alike.  Starts and
+    lanes run in blocks sized by :func:`_plan_lanes`, on up to `workers`
+    processes; `progress(done, total, unit)` follows each row ("row") of
+    one block, or each of several blocks ("block"), since the rows of a
+    block complete only with its last.
     """
     kernel = _kernel_for(family)
     # the guards first: the lookups below compile the column plans
-    moduli, (block, width) = _plan_lanes(kernel, m, m * n, mode, modulus,
-                                         guards)
+    moduli, (block, width) = _plan_lanes(
+        kernel, m, None if n is None else m * n, mode, modulus, guards)
     if family == "torus":
         orbits = dihedral_orbits(m)
         starts = _start_indices(kernel, m, [code for code, _ in orbits])
@@ -778,21 +786,15 @@ def iter_ratios(family: str, m: int,
     """Stream T(n) / T(n-1) for n = 1, 2, 3, ... in float64, T(0) = 1
     (non-torus families).
 
-    A power iteration of the count step: after each row the state vector
-    is divided by its readout, so the readout is the ratio itself and no
-    value outgrows it.  Every term is nonnegative, so nothing cancels and
-    the relative rounding error stays near float64's own.
+    A power iteration of the count step: the unbounded count sweep of
+    :func:`_series` carries one float64 lane, which :func:`_block_rows`
+    divides by its readout after each row, so the readout is the ratio
+    itself and no value outgrows it.  Every term is nonnegative, so nothing
+    cancels and the relative rounding error stays near float64's own.
     """
     if family == "torus":
         raise ValueError("torus ratios equal the cylinder's; use the cylinder")
-    kernel = _kernel_for(family)
-    _check_guards(kernel, m, guards, 1)
-    rows = _covered_rows(kernel, m)
-    start = _start_indices(kernel, m, [all_covered(m).code])
-    for _, C in _sweep(kernel, m, None, "count", start, None):
-        ratio = C[rows].sum()
-        C /= ratio
-        yield float(ratio)
+    return _series(family, m, None, "count", guards)
 
 
 def gamma_series(family: str, m: int, n_max: int,

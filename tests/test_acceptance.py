@@ -163,7 +163,8 @@ def test_king_domination_number_closed_form():
 
 
 @pytest.mark.skipif(os.environ.get("DOMCOUNT_STRETCH") != "1",
-                    reason="about 80 s; set DOMCOUNT_STRETCH=1 to run")
+                    reason="about 17 s and 700 MiB; set DOMCOUNT_STRETCH=1 "
+                    "to run")
 def test_stretch_large_grid_minimum_count(mindom_table):
     gamma, count = mincount_series("grid", 16, 16)[-1]
     assert (gamma, count) == (60, 100406)

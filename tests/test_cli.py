@@ -19,7 +19,12 @@ from domcount.signatures import (all_covered, closed_form_count,
 
 
 def run(argv, capsys):
-    code = cli.main(argv)
+    """Exit code, stdout and stderr of one CLI call; argparse exits with
+    SystemExit."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -345,7 +350,7 @@ def test_verify_small(capsys):
 
 
 def test_verification_error_maps_to_exit_3(monkeypatch, capsys):
-    def boom(max_cells):
+    def boom(args):
         raise VerificationError("forced mismatch")
 
     monkeypatch.setattr(cli, "cmd_verify", boom)
@@ -371,41 +376,57 @@ def test_argument_errors_exit_4(capsys):
 
 
 def test_bad_values_exit_4(capsys):
-    for argv in (
-        ["poly", "--family", "grid", "-m", "0", "-n", "2"],
-        ["growth", "--family", "grid", "--m-range", "3:5", "--digits", "15",
-         "--workers", "1"],
-        ["table", "ngamma", "--family", "grid", "--m-range", "two:3"],
-        ["table", "ngamma", "--family", "grid", "--m-range", "5:3"],
-        ["table", "total", "--family", "cylinder", "--m-range", "2",
-         "--n-range", "0"],
-        ["table", "gamma", "--family", "grid", "--m-range", "0:5",
-         "--n-range", "1:2"],
-        ["table", "gamma", "--family", "grid", "--m-range=-1:2"],
-        ["poly", "--family", "torus", "-m", "3", "-n", "3", "--workers", "-1"],
-        ["growth", "--family", "grid", "--m-range", "3:5", "--digits", "8",
-         "--workers", "-2"],
-        ["poly", "--family", "grid", "-m", "3", "-n", "3", "--max-states", "-5"],
-        ["poly", "--family", "grid", "-m", "3", "-n", "3", "--max-mem", "0"],
-        ["count", "--family", "grid", "-m", "3", "-n", "3", "--max-mem", "-1"],
-        ["growth", "--family", "grid", "--m-range", "3:5", "--n-cap", "-1",
-         "--workers", "1"],
-        ["oeis", "A001333", "--limit", "-3"],
-        ["oeis", "A001333", "--limit", "0"],
-        ["verify", "--max-cells", "-3"],
+    # each message names the value at fault
+    for argv, name in (
+        (["poly", "--family", "grid", "-m", "0", "-n", "2"], "-m"),
+        (["growth", "--family", "grid", "--m-range", "3:5", "--digits", "15",
+          "--workers", "1"], "digits"),
+        (["table", "ngamma", "--family", "grid", "--m-range", "two:3"],
+         "--m-range"),
+        (["table", "ngamma", "--family", "grid", "--m-range", "5:3"],
+         "--m-range"),
+        (["table", "total", "--family", "cylinder", "--m-range", "2",
+          "--n-range", "0"], "--n-range"),
+        (["table", "gamma", "--family", "grid", "--m-range", "0:5",
+          "--n-range", "1:2"], "--m-range"),
+        (["table", "gamma", "--family", "grid", "--m-range=-1:2"],
+         "--m-range"),
+        (["poly", "--family", "torus", "-m", "3", "-n", "3", "--workers",
+          "-1"], "--workers"),
+        (["growth", "--family", "grid", "--m-range", "3:5", "--digits", "8",
+          "--workers", "-2"], "--workers"),
+        (["poly", "--family", "grid", "-m", "3", "-n", "3", "--max-states",
+          "-5"], "--max-states"),
+        (["poly", "--family", "grid", "-m", "3", "-n", "3", "--max-mem", "0"],
+         "--max-mem"),
+        (["count", "--family", "grid", "-m", "3", "-n", "3", "--max-mem",
+          "-1"], "--max-mem"),
+        (["growth", "--family", "grid", "--m-range", "3:5", "--n-cap", "-1",
+          "--workers", "1"], "--n-cap"),
+        (["oeis", "A001333", "--limit", "-3"], "--limit"),
+        (["oeis", "A001333", "--limit", "0"], "--limit"),
+        (["verify", "--max-cells", "-3"], "--max-cells"),
+        (["verify", "--max-cells", "25"], "--max-cells"),
     ):
-        code, _, err = run(argv, capsys)
-        assert code == 4
-        assert "error" in err
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (4, ""), argv
+        assert "error" in err and name in err, (argv, err)
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_nonpositive_memory_env_exits_4(monkeypatch, capsys, value):
+    # every subcommand, those that sweep nothing under a guard included
     monkeypatch.setenv("DOMCOUNT_MAX_MEM", value)
-    code, out, err = run(["count", "--family", "grid", "-m", "3", "-n", "3"],
-                         capsys)
-    assert (code, out) == (4, "")
-    assert "DOMCOUNT_MAX_MEM" in err
+    for argv in (["poly", "--family", "grid", "-m", "3", "-n", "3"],
+                 ["count", "--family", "grid", "-m", "3", "-n", "3"],
+                 ["table", "total", "--family", "grid", "--m-range", "1:2"],
+                 ["growth", "--family", "grid", "--m-range", "3:5",
+                  "--workers", "1"],
+                 ["oeis", "A001333", "--limit", "3"],
+                 ["verify", "--max-cells", "2"]):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (4, ""), argv
+        assert "DOMCOUNT_MAX_MEM" in err
 
 
 def test_guard_exits_2(capsys):
@@ -416,10 +437,14 @@ def test_guard_exits_2(capsys):
 
 
 def test_memory_env_override(monkeypatch, capsys):
+    # growth has no --max-mem, but its sweeps honour the variable
     monkeypatch.setenv("DOMCOUNT_MAX_MEM", "1000")
-    code, _, err = run(["poly", "--family", "grid", "-m", "8", "-n", "8"], capsys)
-    assert code == 2
-    assert "guard" in err
+    for argv in (["poly", "--family", "grid", "-m", "8", "-n", "8"],
+                 ["growth", "--family", "grid", "--m-range", "3:5",
+                  "--workers", "1"]):
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert "guard" in err
 
 
 def test_progress_goes_to_stderr(capsys):
