@@ -291,10 +291,8 @@ def _load_fixture(name: str) -> dict:
     return json.loads(resources.files("domcount.data").joinpath(name).read_text())
 
 
-def _fixture_poly(data: dict, family: str, n: int) -> Optional[tuple[int, list[int], list[str]]]:
-    fix = data["polynomials"][family].get(str(n))
-    if fix is None:
-        return None
+def _fixture_poly(data: dict, family: str, n: int) -> tuple[int, list[int], list[str]]:
+    fix = data["polynomials"][family][str(n)]
     coeffs = list(fix["coefficients"])
     md = fix["min_degree"]
     notes = []
@@ -336,10 +334,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     appendix = _load_fixture("appendix_polynomials.json")
     for family in engine.FAMILIES:
         for n in range(1, 7):
-            fix = _fixture_poly(appendix, family, n)
-            if fix is None:
-                continue
-            md, coeffs, notes = fix
+            md, coeffs, notes = _fixture_poly(appendix, family, n)
             got = engine.domination_polynomial(engine.GraphSpec(family, n, n)).trimmed()
             check(f"appendix {family} {n}x{n}",
                   (got.min_degree(), list(got.coefficients)[md:]),

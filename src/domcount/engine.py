@@ -20,13 +20,14 @@ alone while values provably fit, else beside lanes of primes below 2^59,
 recombined by the Chinese remainder theorem; ``--mod`` runs one lane of its
 prime.  Prime lanes are reduced only when another step could pass 2^63, and
 at every row end.  One row loop, :func:`_sweep`, runs every mode on a
-block of starts and lanes (poly folds the starts into the lane axis); every
-series goes through :func:`_series`, the torus as its trace over one start
-per dihedral orbit, and growth as an unbounded count series in one float64
-lane, which :func:`_block_rows` rescales by its readout after every row.
-Blocks that do not fit the memory guard together run apart, on a process
-pool: each returns per-row lane sums (and its least degree), which the
-parent joins before one readout.
+block of starts and lanes (poly folds the starts into the lane axis) and
+yields values (states, starts, degrees, lanes), one degree for counts.
+Every series goes through :func:`_series`, the torus as its trace over
+one start per dihedral orbit, and growth as an unbounded count series in
+one float64 lane, which :func:`_block_rows` rescales by its readout after
+every row.  Blocks that do not fit the memory guard together run apart,
+on a process pool: each picks its own entries and returns per-row lane
+sums (and its least degree), which the parent joins before one readout.
 
 The memory guard budgets a block's two state arrays over the widest column
 domain beside the compiled column plans.  A poly block allocates its two
@@ -34,7 +35,8 @@ arrays once, at the last row's degree width, and each column writes into
 the one the column before did not; a step's other temporaries are gathers
 of at most one chunk (128 KiB for poly, 256 KiB otherwise), three at a time.
 The row-end readout copies the exact states it reads a 128 KiB chunk at a
-time; the compile's sort temporaries are not bounded.
+time; the covered-row index and the compile's sort temporaries are not
+bounded.
 """
 
 from __future__ import annotations
@@ -229,17 +231,16 @@ class _GatherPlan:
 @lru_cache(maxsize=64)
 def _compiled(kernel: str, m: int) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Compile the columns of one row, from and back to the full-row
-    domain: returns its codes ascending, the state index of each, and the
-    column plans.  Each column's images are taken on its domain in code
-    order, and one stable sort groups them by destination in move order: a
-    destination's k-th row goes to layer k.  Destinations are numbered by
-    falling fan-in, sources by the previous column's numbering -- column
-    1's by the last column's, which numbers the full-row domain.
+    domain: returns its signature codes ascending, the state index of each,
+    and the column plans.  Each column's images are taken on its domain in
+    code order, and one stable sort groups them by destination in move
+    order: a destination's k-th row goes to layer k.  Destinations are
+    numbered by falling fan-in, sources by the previous column's numbering
+    -- column 1's by the last column's, which numbers the full-row domain.
     """
-    if kernel == "king":  # window = virtual Covered boundary cell + the row
-        start = dom = signature_codes(m) * 3 + 1
-    else:
-        start = dom = signature_codes(m, cyclic=(kernel == "cylinder"))
+    start = dom = signature_codes(m, cyclic=(kernel == "cylinder"))
+    if kernel == "king":  # window = virtual Covered north-west slot + the row
+        dom = 3 * start + 1
     plans, rank = [], None
     for c in range(1, m + 1):
         valid, plain_dst, occ_dst = _column_images(kernel, m, c, dom)
@@ -252,9 +253,10 @@ def _compiled(kernel: str, m: int) -> tuple[np.ndarray, np.ndarray, tuple]:
         heads = np.flatnonzero(new)  # each reached code's first row
         if c < m:
             nxt, group = moved[heads], np.arange(len(heads))
-        else:  # completed rows always form valid full-row signatures
-            nxt, group = start, np.searchsorted(start, moved[heads])
-            assert (start[group.clip(max=len(start) - 1)] == moved[heads]).all()
+        else:  # completed rows (past the king's slot) are valid signatures
+            done = moved[heads] // 3 if kernel == "king" else moved[heads]
+            nxt, group = start, np.searchsorted(start, done)
+            assert (start[group.clip(max=len(start) - 1)] == done).all()
         fan = np.ones(len(nxt) + 1, dtype=np.int8)  # unreached: the filler
         fan[group] = np.diff(np.append(heads, len(moved)))
         rank = np.empty(len(fan), dtype=np.int64)
@@ -284,19 +286,16 @@ def _covered_rows(kernel: str, m: int) -> np.ndarray:
     """State indices of the full-row states without an uncovered cell, in
     code order, so that float64 readouts add in a fixed order."""
     dom, index, _ = _compiled(kernel, m)
-    row = dom // 3 if kernel == "king" else dom
     ok = np.ones(len(dom), dtype=bool)
     for i in range(m):
-        ok &= (row // 3 ** i % 3) != 0
+        ok &= (dom // 3 ** i % 3) != 0
     return index[ok]
 
 
-def _start_indices(kernel: str, m: int, codes: list[int]) -> np.ndarray:
+def _start_indices(kernel: str, m: int, codes: Sequence[int]) -> np.ndarray:
     """State indices of full-row signature codes."""
     dom, index, _ = _compiled(kernel, m)
     full = np.array(codes, dtype=np.int64)
-    if kernel == "king":
-        full = 3 * full + 1
     i = np.searchsorted(dom, full).clip(max=len(dom) - 1)
     if (dom[i] != full).any():
         raise ValueError(f"codes {codes} include an invalid start state")
@@ -306,17 +305,17 @@ def _start_indices(kernel: str, m: int, codes: list[int]) -> np.ndarray:
 # ------------------------------------------------------------ column steps
 
 def _keep(counts: np.ndarray, mask: np.ndarray) -> None:
-    """Zero counts (..., lanes) where mask (...) is False, a lane at a time."""
+    """Zero counts (..., 1, lanes) where mask (...) is False, lane by lane."""
     for lane in range(counts.shape[-1]):
-        counts[..., lane] *= mask
+        counts[..., lane] *= mask[..., None]
 
 
 def _step(D: Optional[np.ndarray], C: Optional[np.ndarray], plan: _GatherPlan,
           into: Optional[np.ndarray] = None):
     """One column on min degrees D (states + 1, starts) and counts C
-    (states + 1, starts, lanes), either one absent, or on poly coefficients
-    C (states + 1, 1 + live degrees, starts * lanes), written one degree
-    wider into the front of the flat int64 buffer `into`.
+    (states + 1, starts, 1, lanes), either one absent, or on poly
+    coefficients C (states + 1, 1 + live degrees, starts * lanes), written
+    one degree wider into the front of the flat int64 buffer `into`.
 
     Counts add over a destination's gathered rows, with degrees only rows
     at the minimum degree; the occupied move adds one to the degree.  Slot
@@ -503,12 +502,12 @@ def _sweep(kernel: str, m: int, n: Optional[int], mode: str,
     """The row loop of every mode: run n rows (unbounded for None) from one
     indicator per full-row state in `starts`, yielding (min degrees, values)
     after each row; a part the mode does not carry is None.  Min degrees
-    are (states + 1, starts), counts (states + 1, starts, lanes) and poly
-    coefficients (states + 1, starts, degrees, lanes), a view of the state
-    array (states + 1, 1 + degrees, starts * lanes).  Lanes are int64, one
-    per modulus; counts without moduli are one float64 lane, growth's
-    unbounded sweep through :func:`_series`, which :func:`_block_rows`
-    rescales in place between rows.
+    are (states + 1, starts), values (states + 1, starts, degrees, lanes),
+    one degree for counts; poly coefficients are a view of the state array
+    (states + 1, 1 + degrees, starts * lanes).  Lanes are int64, one per
+    modulus; counts without moduli are one float64 lane, growth's unbounded
+    sweep through :func:`_series`, which :func:`_block_rows` rescales in
+    place between rows.
 
     A poly block allocates its two state arrays once, as large as
     :func:`_plan_lanes` budgets them (the widest column domain at the
@@ -527,7 +526,7 @@ def _sweep(kernel: str, m: int, n: Optional[int], mode: str,
         D = np.full((size + 1, len(starts)), _INF, dtype=np.int64)
         D[starts, cols] = 0
     if mode in ("count", "mincount"):
-        C = np.zeros((size + 1, len(starts), lanes),
+        C = np.zeros((size + 1, len(starts), 1, lanes),
                      dtype=np.float64 if moduli is None else np.int64)
         C[starts, cols] = 1
     if mode == "poly":
@@ -556,32 +555,38 @@ def _sweep(kernel: str, m: int, n: Optional[int], mode: str,
 def _block_rows(job: tuple) -> Iterator[tuple]:
     """Sweep one block of starts and lanes, yielding after each row the
     partial readout of its picked entries: their least degree, and their
-    lane sums, (degrees, lanes) for poly and (1, lanes) for counts, in
-    mincount of the picks at that degree; a part the mode does not carry
-    is None.  Pick k is state rows[k] of start cols[k].  Exact picks are
-    copied _POLY_GATHER_BYTES at a time; a float64 lane sums in one, in pick
-    order, and is divided by its sum: row n reads T(n) / T(n-1)."""
-    kernel, m, n, mode, moduli, starts, rows, cols = job
-    for D, C in _sweep(kernel, m, n, mode, starts, moduli):
+    lane sums (degrees, lanes), in mincount of the picks at that degree; a
+    part the mode does not carry is None.  Picks are as :func:`_series`
+    says: torus starts carry their orbit `weights`, an open board's start
+    None.  Exact picks are copied _POLY_GATHER_BYTES at a time; a float64
+    lane sums in one, in pick order, and is divided by its sum: row n
+    reads T(n) / T(n-1)."""
+    kernel, m, n, mode, moduli, starts, weights = job
+    if weights is None:  # every covered row of the one start, in code order
+        rows = _covered_rows(kernel, m)
+        cols = np.broadcast_to(0, rows.shape)
+    else:  # each start's own row, once per orbit member
+        cols = np.repeat(np.arange(len(starts)), weights)
+        rows = starts[cols]
+    for D, V in _sweep(kernel, m, n, mode, starts, moduli):
         least = sums = None
         r, c = rows, cols
         if D is not None:
             deg = D[rows, cols]
             least = int(deg.min())
-            if C is not None:  # mincount: the picks at the least degree
+            if V is not None:  # mincount: the picks at the least degree
                 r, c = rows[deg == least], cols[deg == least]
-        if C is not None:
-            V = C if mode == "poly" else C[:, :, None]  # (..., k, lanes)
+        if V is not None:
             if moduli is None:
                 sums = V[r, c].sum(axis=0)
-                C /= sums[0, 0]
+                V /= sums[0, 0]
             else:
                 step = max(1, _POLY_GATHER_BYTES // V[0, 0].nbytes)
                 sums = lane_sum(np.stack(
                     [lane_sum(V[r[a:a + step], c[a:a + step]], moduli)
                      for a in range(0, len(r), step)]), moduli)
         # held here, this row's arrays would outlive the next row
-        D = C = V = deg = None
+        D = V = deg = None
         yield least, sums
 
 
@@ -642,21 +647,15 @@ def _series(family: str, m: int, n: Optional[int], mode: str, guards: Guards,
     moduli, (block, width) = _plan_lanes(
         kernel, m, None if n is None else m * n, mode, modulus, guards)
     if family == "torus":
-        orbits = dihedral_orbits(m)
-        starts = _start_indices(kernel, m, [code for code, _ in orbits])
-        pick_cols = np.repeat(np.arange(len(orbits)), [w for _, w in orbits])
-        pick_rows = starts[pick_cols]
+        codes, weights = zip(*dihedral_orbits(m))
     else:
-        starts = _start_indices(kernel, m, [all_covered(m).code])
-        pick_rows = _covered_rows(kernel, m)
-        pick_cols = np.zeros_like(pick_rows)
+        codes, weights = [all_covered(m).code], None
+    starts = _start_indices(kernel, m, codes)
     groups = [None] if moduli is None else \
         [moduli[k:k + width] for k in range(0, len(moduli), width)]
-    jobs = []
-    for b0 in range(0, len(starts), block):
-        here = (pick_cols >= b0) & (pick_cols < b0 + block)
-        jobs += [(kernel, m, n, mode, group, starts[b0:b0 + block],
-                  pick_rows[here], pick_cols[here] - b0) for group in groups]
+    jobs = [(kernel, m, n, mode, group, starts[b0:b0 + block],
+             None if weights is None else weights[b0:b0 + block])
+            for b0 in range(0, len(starts), block) for group in groups]
 
     def reported(items, unit, total):
         for k, item in enumerate(items, 1):
@@ -711,7 +710,7 @@ def run_sweep(spec: GraphSpec, start_signature: Signature,
     V = np.concatenate(parts, axis=-1)
     flat, k = lane_values(V.reshape(-1, V.shape[2]), moduli), V.shape[1]
     result: dict[int, Polynomial] = {}
-    for i, code in enumerate(codes // 3 if kernel == "king" else codes):
+    for i, code in enumerate(codes):
         if any(coeffs := flat[i * k:(i + 1) * k]):
             result[int(code)] = Polynomial.from_coefficients(
                 coeffs, ring).trimmed()

@@ -29,9 +29,6 @@ class Ring:
     def normalize(self, value: int) -> int:
         return value if self.modulus is None else value % self.modulus
 
-    def __str__(self) -> str:
-        return "exact" if self.modulus is None else f"mod {self.modulus}"
-
 
 EXACT = Ring()
 

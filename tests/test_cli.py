@@ -349,6 +349,26 @@ def test_verify_small(capsys):
     assert not any(line.startswith("FAIL") for line in lines)
 
 
+def test_verify_reports_an_oracle_mismatch(monkeypatch, capsys):
+    # the oracle's grid 2x2, 6z^2 + 4z^3 + z^4, with z^3 changed to 5
+    oracle = cli.brute_force_polynomial
+
+    def changed(spec, cell_guard):
+        poly = oracle(spec, cell_guard=cell_guard)
+        if (spec.family, spec.m, spec.n) == ("grid", 2, 2):
+            poly = Polynomial.from_coefficients([0, 0, 6, 5, 1])
+        return poly
+
+    monkeypatch.setattr(cli, "brute_force_polynomial", changed)
+    code, out, err = run(["verify", "--max-cells", "4"], capsys)
+    assert code == 3
+    lines = out.splitlines()
+    assert "FAIL oracle grid 2x2: got z^3 coefficient 4, want 5" in lines
+    assert sum(line.startswith("FAIL") for line in lines) == 1
+    assert lines[-1] == f"{len(lines) - 2}/{len(lines) - 1} checks passed"
+    assert "oracle grid 2x2: got z^3 coefficient 4, want 5" in err
+
+
 def test_verification_error_maps_to_exit_3(monkeypatch, capsys):
     def boom(args):
         raise VerificationError("forced mismatch")

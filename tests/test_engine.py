@@ -346,31 +346,38 @@ def test_a_poly_block_sweeps_in_two_buffers():
 
 
 def test_poly_sweep_memory_stays_within_the_guard_estimate():
-    # the plans compile before the trace, whose peak then holds the two
-    # state arrays, the gathers of one step (the later layers summed so
-    # far, the last one added and the next), the row-end readout and small
-    # arrays of the sweep; the compile's own temporaries are not bounded.
-    # Grid 12x3 reads 4096 covered states of 38 degrees, 1.2 MB copied at
-    # once: a chunk at a time, the peak stays the step's, whose three
-    # gathers and the pick indices fit in five chunks
+    # the plans and covered rows are cached before the trace, whose peak
+    # then holds the two state arrays, the gathers of one step (the later
+    # layers summed so far, the last one added and the next), the row-end
+    # readout and small arrays of the sweep; the compile's own temporaries
+    # are not bounded.  Grid 12x3 and 13x3 read 4096 and 8192 covered
+    # states of 38 and 41 degrees, copied a chunk at a time, and torus 5x8
+    # runs its 18 start orbits in one block: the peak stays the step's,
+    # whose three gathers and the block's picks fit in four chunks
     chunk = engine._POLY_GATHER_BYTES
-    for kernel, m, n in (("grid", 8, 8), ("grid", 12, 3)):
+    for family, m, n in (("grid", 8, 8), ("grid", 12, 3), ("grid", 13, 3),
+                         ("torus", 5, 8)):
+        kernel = engine._kernel_for(family)
         plans = engine._gather_plans(kernel, m)
         engine._covered_rows(kernel, m)
         tracemalloc.start()
         try:
-            polynomial_series(kernel, m, n)
+            polynomial_series(family, m, n)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         rows = max(plan.rows for plan in plans)
-        moduli, _ = engine._plan_lanes(kernel, m, m * n, "poly", None,
-                                       DEFAULT_GUARDS)
-        arrays = 2 * rows * len(moduli) * (m * n + 2) * 8  # of the one start
+        moduli, (block, _) = engine._plan_lanes(kernel, m, m * n, "poly",
+                                                None, DEFAULT_GUARDS)
+        starts = 1
+        if family == "torus":
+            starts = len(dihedral_orbits(m))
+            assert starts <= block  # one block
+        arrays = 2 * rows * len(moduli) * (m * n + 2) * 8 * starts
         assert arrays < peak <= arrays + sum(plan.nbytes for plan in plans) \
             + 3 * chunk
-        if (m, n) == (12, 3):
-            assert peak - arrays <= 5 * chunk
+        if (family, m) != ("grid", 8):
+            assert peak - arrays <= 4 * chunk
 
 
 # one lane per block, on one process and on two: grid 10x10 carries the
@@ -541,13 +548,14 @@ def test_moduli_past_the_fan_in_bound_are_rejected(family, limit):
 def test_column_plans_are_prefix_layers(kernel):
     for m in range(1, 8):
         codes, index, plans = engine._compiled(kernel, m)
-        full = signature_codes(m, cyclic=kernel == "cylinder")
         assert codes.tolist() == \
-            (full * 3 + 1 if kernel == "king" else full).tolist()
+            signature_codes(m, cyclic=kernel == "cylinder").tolist()
         assert sorted(index.tolist()) == list(range(len(codes)))
         row_codes = np.empty_like(codes)  # the full-row codes in state order
         row_codes[index] = codes
-        dom = row_codes
+        # the king's columns step windows: each row behind a virtual
+        # Covered north-west slot, code 3 * row + 1
+        dom = window = 3 * row_codes + 1 if kernel == "king" else row_codes
         for c, plan in enumerate(plans, 1):
             sizes = [size for _, size in plan.layers]
             assert sizes == sorted(sizes, reverse=True)
@@ -580,7 +588,7 @@ def test_column_plans_are_prefix_layers(kernel):
                 assert sorted(dst_code) == list(range(plan.rows - 1))
                 dom = np.array([dst_code[d] for d in range(plan.rows - 1)])
             else:
-                assert all(row_codes[d] == code for d, code in dst_code.items())
+                assert all(window[d] == code for d, code in dst_code.items())
 
 
 def _largest_admissible_prime(kernel, m):

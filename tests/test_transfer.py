@@ -194,11 +194,18 @@ def test_first_cell_pending_flag():
 
 
 def test_king_window_has_an_extra_cell():
-    # a full king row sits behind a virtual Covered north-west slot
-    codes = _compiled("king", 3)[0]
-    assert (codes % 3 == 1).all()
-    assert sorted(codes // 3) == signature_codes(3).tolist()
-    # the completed row comes back behind the same slot
+    # the king's columns step windows: a full row behind a virtual Covered
+    # north-west slot, code 3 * row + 1; the compiled states are the rows
+    for m in range(1, 5):
+        rows = signature_codes(m)
+        assert _compiled("king", m)[0].tolist() == rows.tolist()
+        codes = 3 * rows + 1
+        for c in range(1, m + 1):
+            valid, plain, occ = _column_images("king", m, c, codes)
+            codes = np.unique(np.concatenate([plain[valid], occ]))
+        # completed rows come back behind the same slot
+        assert (codes % 3 == 1).all()
+        assert set((codes // 3).tolist()) <= set(rows.tolist())
     assert images("king", 2, 2, "cxc") == ("ccc", "ccx")
 
 
