@@ -30,10 +30,10 @@ on a process pool: each picks its own entries and returns per-row lane
 sums (and its least degree), which the parent joins before one readout.
 
 The memory guard budgets a block's two state arrays over the widest column
-domain beside the compiled column plans.  A poly block allocates its two
-arrays once, at the last row's degree width, and each column writes into
-the one the column before did not; a step's other temporaries are gathers
-of at most one chunk (128 KiB for poly, 256 KiB otherwise), three at a time.
+domain beside the compiled column plans.  Every block allocates them once,
+as two flat buffers per part, and each column writes into the one the
+column before did not; a step's other temporaries are gathers of at most
+one chunk (128 KiB for poly, 256 KiB otherwise), three at a time.
 The row-end readout copies the exact states it reads a 128 KiB chunk at a
 time; the covered-row index and the compile's sort temporaries are not
 bounded.
@@ -311,32 +311,32 @@ def _keep(counts: np.ndarray, mask: np.ndarray) -> None:
 
 
 def _step(D: Optional[np.ndarray], C: Optional[np.ndarray], plan: _GatherPlan,
-          into: Optional[np.ndarray] = None):
+          into: tuple) -> tuple:
     """One column on min degrees D (states + 1, starts) and counts C
     (states + 1, starts, 1, lanes), either one absent, or on poly
     coefficients C (states + 1, 1 + live degrees, starts * lanes), written
-    one degree wider into the front of the flat int64 buffer `into`.
+    (poly one degree wider) into the front of the flat buffers `into`.
 
     Counts add over a destination's gathered rows, with degrees only rows
     at the minimum degree; the occupied move adds one to the degree.  Slot
     0 of the poly degree axis is a zero pad, so the window at a row is the
     row one degree up and the window one slot later the row itself.  Per
     chunk of destinations, layer 0 is gathered and the later layers, summed,
-    are added: float64 counts add as a0 + (a1 + a2 + ...).
+    are added: float64 counts add as a0 + (a1 + a2 + ...).  Min-plus folds
+    in one later layer at a time; mincount keeps them all to mask counts.
     """
-    poly = into is not None
     n0 = plan.rows
-    outD = None if D is None else np.empty((n0, *D.shape[1:]), np.int64)
-    outC = sums = None  # sums: outC past the poly degree pad
-    if poly:
+    poly = C is not None and C.ndim == 3  # counts are (states + 1, ..., lanes)
+    outD, outC = (None if x is None else buf[:n0 * x[0].size].reshape(
+        n0, *x.shape[1:]) for x, buf in zip((D, C), into))
+    sums = outC  # outC past the poly degree pad
+    if poly:  # one degree wider, behind a zero pad
         rows, width, lanes = C.shape
         windows = as_strided(C, (rows * width - width + 1, width, lanes),
                              (8 * lanes, 8 * lanes, 8), writeable=False)
-        outC = into[:n0 * (width + 1) * lanes].reshape(n0, width + 1, lanes)
+        outC = into[1][:n0 * (width + 1) * lanes].reshape(n0, width + 1, lanes)
         outC[:, 0] = 0
         sums = outC[:, 1:]
-    elif C is not None:
-        outC = sums = np.empty((n0, *C.shape[1:]), C.dtype)
 
     def gather(src, plain):  # the values of gathered rows
         if poly:
@@ -347,6 +347,11 @@ def _step(D: Optional[np.ndarray], C: Optional[np.ndarray], plan: _GatherPlan,
         deg = D.take(src, axis=0, mode="clip")
         deg += 1 - plain[..., None]
         return deg
+
+    def fold(low, deg):  # the least of deg's layers into low, in place
+        least = deg[0] if len(deg) == 1 else deg.min(axis=0)
+        np.minimum(low[:len(least)], least, out=low[:len(least)])
+        return None if C is None else deg  # kept to mask the counts
 
     chunk = max(1, (_POLY_GATHER_BYTES if poly else _GATHER_BYTES) // (
         8 * sum(a[0].size for a in (D, C) if a is not None)))
@@ -365,11 +370,8 @@ def _step(D: Optional[np.ndarray], C: Optional[np.ndarray], plan: _GatherPlan,
         if D is not None:
             outD[a:b] = lifted(plan.src[a:b], plan.plain[a:b])
             low = outD[a:a + (pieces[0][1] - pieces[0][0] if pieces else 0)]
-            first = low.copy()
-            degs = [lifted(*block) for block in blocks]
-            for deg in degs:
-                np.minimum(low[:deg.shape[1]], deg.min(axis=0),
-                           out=low[:deg.shape[1]])
+            first = None if C is None else low.copy()
+            degs = [fold(low, lifted(*block)) for block in blocks]
         if C is None:
             continue
         sums[a:b] = gather(plan.src[a:b], plan.plain[a:b])
@@ -405,6 +407,13 @@ def _reduce_lanes(lanes: np.ndarray, primes: np.ndarray, top: int,
 
 
 # ------------------------------------------------------------ sweep driver
+
+def _state_values(mode: str, cells: Optional[int]) -> tuple[int, int]:
+    """8-byte values per state of one start in the last row: the degree slot,
+    and per lane the count, or the poly coefficients and their zero pad."""
+    return (int(mode in ("minplus", "mincount")),
+            cells + 2 if mode == "poly" else int(mode != "minplus"))
+
 
 @lru_cache(maxsize=None)
 def _lane_primes(bits: int) -> tuple[int, ...]:
@@ -451,8 +460,7 @@ def _plan_lanes(kernel: str, m: int, cells: Optional[int], mode: str,
         moduli = (0,)
     else:
         moduli = (0, *_lane_primes(cells + 1 - 64))
-    shared = int(mode in ("minplus", "mincount"))
-    per_lane = cells + 2 if mode == "poly" else int(mode != "minplus")
+    slot, per_lane = _state_values(mode, cells)
     lanes = max(len(moduli), 1)
     # kinked mid-row domains never exceed three times the full-row count
     kind = "cyclic" if kernel == "cylinder" else "plain"
@@ -463,7 +471,7 @@ def _plan_lanes(kernel: str, m: int, cells: Optional[int], mode: str,
             f"{guards.max_states}")
 
     def fit(rows: int, plans: int) -> int:  # int64 values per state that fit
-        arrays = 2 * rows * (shared + per_lane) * 8
+        arrays = 2 * rows * (slot + per_lane) * 8
         if arrays + plans > guards.max_memory_bytes:
             raise GuardExceeded(
                 f"estimated working memory of one lane of one start, at "
@@ -478,10 +486,10 @@ def _plan_lanes(kernel: str, m: int, cells: Optional[int], mode: str,
     plans = _gather_plans(kernel, m)
     rows = max(plan.rows for plan in plans)
     room = fit(rows, sum(plan.nbytes for plan in plans))
-    if shared + lanes * per_lane <= room:
-        block, width = room // (shared + lanes * per_lane), lanes
+    if slot + lanes * per_lane <= room:
+        block, width = room // (slot + lanes * per_lane), lanes
     else:
-        block, width = 1, (room - shared) // per_lane
+        block, width = 1, (room - slot) // per_lane
     if mode == "poly":
         block = max(1, min(block, _POLY_BLOCK_BYTES // (8 * rows * width
                                                         * per_lane)))
@@ -509,35 +517,33 @@ def _sweep(kernel: str, m: int, n: Optional[int], mode: str,
     sweep through :func:`_series`, which :func:`_block_rows` rescales in
     place between rows.
 
-    A poly block allocates its two state arrays once, as large as
-    :func:`_plan_lanes` budgets them (the widest column domain at the
-    last degree), and each column writes into the one the column before
-    did not.  The values yielded are overwritten as the next row runs, so
-    a caller reads a row (as :func:`_block_rows` and :func:`run_sweep` do)
-    before it asks for the next.
+    Each part has two flat buffers, allocated once at the size
+    :func:`_plan_lanes` budgets, and each column writes into the one the
+    column before did not, so a caller reads a row (as :func:`_block_rows`
+    and :func:`run_sweep` do) before it asks for the next.
     """
-    plans = _gather_plans(kernel, m)
-    size = len(_compiled(kernel, m)[0])
-    cols = np.arange(len(starts))
+    codes, _, plans = _compiled(kernel, m)
+    size, rows = len(codes), max(plan.rows for plan in plans)
+    k, cols = len(starts), np.arange(len(starts))
     lanes = 1 if moduli is None else len(moduli)
+    slot, per_lane = _state_values(mode, None if n is None else m * n)
+    parts = ((slot, np.int64),
+             (lanes * per_lane, np.float64 if moduli is None else np.int64))
+    first, second = ([np.empty(rows * k * v, t) for v, t in parts]
+                     for _ in range(2))
     D = C = None
-    spare = itertools.repeat(None)  # the buffer each step writes into
-    if mode in ("minplus", "mincount"):
-        D = np.full((size + 1, len(starts)), _INF, dtype=np.int64)
+    if slot:
+        D = first[0][:(size + 1) * k].reshape(size + 1, k)
+        D[:] = _INF
         D[starts, cols] = 0
-    if mode in ("count", "mincount"):
-        C = np.zeros((size + 1, len(starts), 1, lanes),
-                     dtype=np.float64 if moduli is None else np.int64)
-        C[starts, cols] = 1
-    if mode == "poly":
-        values = (max(plan.rows for plan in plans) * (m * n + 2)
-                  * len(starts) * lanes)
-        first, second = (np.empty(values, np.int64) for _ in range(2))
-        C = first[:(size + 1) * 2 * len(starts) * lanes].reshape(
-            size + 1, 2, len(starts) * lanes)
+    if per_lane:  # poly behind a zero pad, at degree 0
+        pad = int(mode == "poly")
+        C = first[1][:(size + 1) * (1 + pad) * k * lanes].reshape(
+            size + 1, 1 + pad, k, lanes)
         C[:] = 0
-        C.reshape(size + 1, 2, len(starts), lanes)[starts, 1, cols] = 1
-        spare = itertools.cycle((second, first))
+        C[starts, pad, cols] = 1
+        C = C.reshape((size + 1, 2, -1) if pad else (size + 1, k, 1, lanes))
+    spare = itertools.cycle((second, first))  # the buffers each step fills
     wrap, primes = prime_lanes(moduli)
     top = 1  # bounds every prime-lane value
     for _ in itertools.count() if n is None else range(n):
@@ -548,8 +554,8 @@ def _sweep(kernel: str, m: int, n: Optional[int], mode: str,
             D, C = _step(D, C, plan, next(spare))
         if primes is not None:
             top = _reduce_lanes(C.reshape(-1, lanes)[:, wrap:], primes, top)
-        yield D, (C.reshape(size + 1, -1, len(starts), lanes)[:, 1:]
-                  .swapaxes(1, 2) if mode == "poly" else C)
+        yield D, (C.reshape(size + 1, -1, k, lanes)[:, 1:].swapaxes(1, 2)
+                  if mode == "poly" else C)
 
 
 def _block_rows(job: tuple) -> Iterator[tuple]:
@@ -585,8 +591,6 @@ def _block_rows(job: tuple) -> Iterator[tuple]:
                 sums = lane_sum(np.stack(
                     [lane_sum(V[r[a:a + step], c[a:a + step]], moduli)
                      for a in range(0, len(r), step)]), moduli)
-        # held here, this row's arrays would outlive the next row
-        D = V = deg = None
         yield least, sums
 
 

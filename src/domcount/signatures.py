@@ -266,18 +266,14 @@ def dihedral_orbits(m: int) -> list[tuple[int, int]]:
     Returns (representative code, orbit size) pairs, representatives
     ascending.  The representative is the smallest code in its orbit.
     """
-    seen: set[int] = set()
-    orbits: list[tuple[int, int]] = []
-    for code in signature_codes(m, cyclic=True):
-        code = int(code)
-        if code in seen:
-            continue
-        cells = decode(code, m)
-        orbit = set()
-        for k in range(m):
-            shifted = cells[k:] + cells[:k]
-            orbit.add(encode(shifted))
-            orbit.add(encode(tuple(reversed(shifted))))
-        seen |= orbit
-        orbits.append((min(orbit), len(orbit)))
-    return orbits
+    codes = signature_codes(m, cyclic=True)
+    rest, mirror = codes, np.zeros_like(codes)
+    for _ in range(m):  # the digit reversal
+        mirror, rest = 3 * mirror + rest % 3, rest // 3
+    least = np.minimum(codes, mirror)
+    for _ in range(m - 1):  # each rotation by one cell
+        codes = codes // 3 + codes % 3 * 3 ** (m - 1)
+        mirror = mirror // 3 + mirror % 3 * 3 ** (m - 1)
+        least = np.minimum(least, np.minimum(codes, mirror))
+    reps, sizes = np.unique(least, return_counts=True)
+    return list(zip(reps.tolist(), sizes.tolist()))

@@ -163,9 +163,11 @@ def test_king_domination_number_closed_form():
 
 
 @pytest.mark.skipif(os.environ.get("DOMCOUNT_STRETCH") != "1",
-                    reason="about 17 s and 700 MiB; set DOMCOUNT_STRETCH=1 "
+                    reason="about 20 s and 650 MiB; set DOMCOUNT_STRETCH=1 "
                     "to run")
-def test_stretch_large_grid_minimum_count(mindom_table):
+def test_stretch_large_grid_minimum_count(mindom_table, grid_totals):
     gamma, count = mincount_series("grid", 16, 16)[-1]
     assert (gamma, count) == (60, 100406)
     assert mindom_table("grid", 16) == 100406
+    # the count sweep where its state arrays are largest
+    assert count_dominating(GraphSpec("grid", 16, 16)) == grid_totals[16]

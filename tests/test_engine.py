@@ -329,20 +329,45 @@ def test_poly_blocks_hold_several_starts():
 
 
 def test_a_poly_block_sweeps_in_two_buffers():
-    # torus 4x6 from every start orbit, in the int64 lane and a prime lane
-    m, n = 4, 6
-    starts = engine._start_indices("cylinder", m, [code for code, _ in
-                                                   dihedral_orbits(m)])
-    moduli = np.array([0, 2147483647], dtype=np.int64)
-    owners = []
-    for k, (_, V) in enumerate(engine._sweep("cylinder", m, n, "poly", starts,
-                                             moduli), 1):
-        assert V.shape[1:] == (len(starts), m * k + 1, 2)
-        while V.base is not None:
-            V = V.base
-        owners.append(V)
-    assert len(owners) == n
-    assert len({id(owner) for owner in owners}) <= 2
+    # every mode sweeps a block in two flat buffers per part (degrees,
+    # values), allocated once with the bytes _plan_lanes budgets for the
+    # block's starts and lanes.  The widths are odd, so the rows end in
+    # either buffer: the torus 3x23 polynomial (69 cells) and the counts of
+    # 5x13 (65 cells) carry the int64 lane and a prime lane, torus blocks
+    # run every start orbit, and growth's float64 lane runs seven rows
+    for family, m, n, mode in (("torus", 3, 23, "poly"),
+                               ("grid", 5, 13, "count"),
+                               ("grid", 5, 13, "minplus"),
+                               ("torus", 5, 13, "mincount"),
+                               ("grid", 5, None, "count")):
+        kernel = engine._kernel_for(family)
+        cells = None if n is None else m * n
+        codes = [code for code, _ in dihedral_orbits(m)] \
+            if family == "torus" else [all_covered(m).code]
+        starts = engine._start_indices(kernel, m, codes)
+        moduli, _ = engine._plan_lanes(kernel, m, cells, mode, None,
+                                       DEFAULT_GUARDS)
+        lanes = 1 if moduli is None else len(moduli)
+        assert lanes == (2 if n else 1) or mode == "minplus"
+        slot, per_lane = engine._state_values(mode, cells)
+        guards = guard_for(kernel, m, len(starts) * (slot + lanes * per_lane))
+        assert engine._plan_lanes(kernel, m, cells, mode, None, guards)[1] \
+            == (len(starts), lanes)
+        owners = ({}, {})  # per part: the arrays the rows are views of
+        for k, row in enumerate(islice(engine._sweep(
+                kernel, m, n, mode, starts, moduli), n or 7), 1):
+            if mode == "poly":
+                assert row[1].shape[1:] == (len(starts), m * k + 1, lanes)
+            for owner, a in zip(owners, row):
+                while a is not None and a.base is not None:
+                    a = a.base
+                if a is not None:
+                    owner[id(a)] = a
+        assert [len(owner) for owner in owners] == [2 * bool(slot),
+                                                    2 * bool(per_lane)]
+        plans = engine._gather_plans(kernel, m)
+        assert sum(a.nbytes for owner in owners for a in owner.values()) == \
+            guards.max_memory_bytes - sum(plan.nbytes for plan in plans)
 
 
 def test_poly_sweep_memory_stays_within_the_guard_estimate():
@@ -378,13 +403,36 @@ def test_poly_sweep_memory_stays_within_the_guard_estimate():
             + 3 * chunk
         if (family, m) != ("grid", 8):
             assert peak - arrays <= 4 * chunk
+    # the other modes on the same two arrays, in chunks of 256 KiB: count
+    # steps hold three gathers, min-plus steps fold one later layer at a
+    # time, and mincount steps keep a copy of layer 0's degrees and those
+    # of every later layer (up to four on the grid, a quarter chunk each
+    # beside three lanes) until the counts are masked
+    chunk = engine._GATHER_BYTES
+    for mode, chunks in (("count", 4), ("minplus", 4), ("mincount", 5)):
+        engine._covered_rows("grid", 13)
+        tracemalloc.start()
+        try:
+            list(engine._series("grid", 13, 13, mode, DEFAULT_GUARDS))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        moduli, _ = engine._plan_lanes("grid", 13, 169, mode, None,
+                                       DEFAULT_GUARDS)
+        slot, per_lane = engine._state_values(mode, 169)
+        lanes = 1 if moduli is None else len(moduli)
+        rows = max(plan.rows for plan in engine._gather_plans("grid", 13))
+        arrays = 2 * rows * (slot + lanes * per_lane) * 8
+        assert arrays < peak <= arrays + chunks * chunk, mode
 
 
-# one lane per block, on one process and on two: grid 10x10 carries the
+# one lane per block, on one process and on two: the counts of grid 9x9
+# carry the int64 lane and one prime, grid 10x10 carries the
 # int64 lane and a 38-bit prime, cylinder 8x9 two lanes, torus 5x14 two
 # lanes per start over 18 starts, and the 64 cells of torus 8x8 two count
 # lanes besides the mincount degrees
 @pytest.mark.parametrize("mode, family, m, n", [
+    ("count", "grid", 9, 9),
     ("poly", "grid", 10, 10),
     ("poly", "cylinder", 8, 9),
     ("poly", "torus", 5, 14),
@@ -403,8 +451,8 @@ def test_lane_blocks_do_not_change_the_result(mode, family, m, n,
     moduli, (_, width) = engine._plan_lanes(kernel, m, m * n, mode, None,
                                             DEFAULT_GUARDS)
     assert width == len(moduli) == 2  # every lane in one block by default
-    per_lane = m * n + 2 if mode == "poly" else 2  # mincount: + the degrees
-    one = guard_for(kernel, m, per_lane)
+    # a count is one value per lane; mincount adds the degrees
+    one = guard_for(kernel, m, {"count": 1, "mincount": 2}.get(mode, m * n + 2))
     assert engine._plan_lanes(kernel, m, m * n, mode, None, one)[1] == (1, 1)
     whole = series(DEFAULT_GUARDS)
     for workers in (1, 2):

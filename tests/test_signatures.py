@@ -181,3 +181,19 @@ def test_dihedral_orbits_partition_the_cyclic_signatures(m):
     assert reps == sorted(reps)
     for rep, _ in orbits:
         assert is_valid(Signature(m, rep), cyclic=True)
+
+
+@pytest.mark.parametrize("m", range(1, 10))
+def test_dihedral_orbits_match_the_orbit_definition(m):
+    def orbit(code):  # every rotation of the cells and of their mirror image
+        cells = decode(code, m)
+        turns = [cells[k:] + cells[:k] for k in range(m)]
+        return {encode(c) for t in turns for c in (t, t[::-1])}
+
+    want, seen = [], set()
+    for code in signature_codes(m, cyclic=True).tolist():
+        if code not in seen:
+            members = orbit(code)
+            seen |= members
+            want.append((min(members), len(members)))
+    assert dihedral_orbits(m) == sorted(want)
