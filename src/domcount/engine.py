@@ -328,7 +328,7 @@ def _step(D: Optional[np.ndarray], C: Optional[np.ndarray], plan: _GatherPlan,
     n0 = plan.rows
     poly = C is not None and C.ndim == 3  # counts are (states + 1, ..., lanes)
     outD, outC = (None if x is None else buf[:n0 * x[0].size].reshape(
-        n0, *x.shape[1:]) for x, buf in zip((D, C), into))
+        n0, *x.shape[1:]) for x, buf in zip((D, None if poly else C), into))
     sums = outC  # outC past the poly degree pad
     if poly:  # one degree wider, behind a zero pad
         rows, width, lanes = C.shape

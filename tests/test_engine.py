@@ -452,7 +452,8 @@ def test_lane_blocks_do_not_change_the_result(mode, family, m, n,
                                             DEFAULT_GUARDS)
     assert width == len(moduli) == 2  # every lane in one block by default
     # a count is one value per lane; mincount adds the degrees
-    one = guard_for(kernel, m, {"count": 1, "mincount": 2}.get(mode, m * n + 2))
+    values = {"count": 1, "mincount": 2}.get(mode, m * n + 2)
+    one = guard_for(kernel, m, values)
     assert engine._plan_lanes(kernel, m, m * n, mode, None, one)[1] == (1, 1)
     whole = series(DEFAULT_GUARDS)
     for workers in (1, 2):
