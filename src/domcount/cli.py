@@ -104,13 +104,15 @@ def _build_parser() -> _Parser:
     p.add_argument("--n-cap", type=positive, default=400)
     p.add_argument("--workers", type=_integer(0), default=0)
     p.add_argument("--format", default="json", choices=("json", "text"))
-    # no guard options, but growth's sweeps honour DOMCOUNT_MAX_MEM
-    p.set_defaults(max_states=engine.DEFAULT_GUARDS.max_states,
-                   max_mem=engine.DEFAULT_GUARDS.max_memory_bytes)
+    # no guard options, but growth's and oeis's sweeps honour DOMCOUNT_MAX_MEM
+    no_guards = dict(max_states=engine.DEFAULT_GUARDS.max_states,
+                     max_mem=engine.DEFAULT_GUARDS.max_memory_bytes)
+    p.set_defaults(**no_guards)
 
     p = sub.add_parser("oeis", help="emit a registered sequence as b-file lines")
     p.add_argument("id")
     p.add_argument("--limit", type=positive, default=8)
+    p.set_defaults(**no_guards)
 
     p = sub.add_parser("verify", help="self-check against oracle and tables")
     p.add_argument("--max-cells", type=_integer(1, 24), default=16)
@@ -218,29 +220,30 @@ def _diagonal(k: int) -> list[tuple[int, int]]:
 
 
 def _sequence(kind: str, family: str, cells: Callable):
-    return lambda k: engine.table_values(kind, family, cells(k))
+    return lambda k, guards: engine.table_values(kind, family, cells(k), guards)
 
 
-def _king_gamma(k: int) -> list[int]:
+def _king_gamma(k: int, guards: engine.Guards) -> list[int]:
     from . import analysis  # mpmath loads only for this sequence
     return [analysis.gamma_closed_form("king", m, n)
             for m, n in _antidiagonal(k)]
 
 
-# id -> (first index, generator, description)
-OEIS_REGISTRY: dict[str, tuple[int, Callable[[int], list[int]], str]] = {
-    "A001333": (1, lambda k: [count_signatures(m) for m in range(1, k + 1)],
+# id -> (first index, generator of the first k terms under guards, description)
+OEIS_REGISTRY: dict[str, tuple[int, Callable[[int, engine.Guards], list[int]],
+                               str]] = {
+    "A001333": (1, lambda k, _: [count_signatures(m) for m in range(1, k + 1)],
                 "signature counts a(m), m >= 1"),
-    "A078057": (0, lambda k: [count_signatures(m) for m in range(0, k)],
+    "A078057": (0, lambda k, _: [count_signatures(m) for m in range(0, k)],
                 "signature counts a(m), m >= 0"),
-    "A030270": (1, lambda k: [count_signatures(m, "reflection_reduced")
-                              for m in range(1, k + 1)],
+    "A030270": (1, lambda k, _: [count_signatures(m, "reflection_reduced")
+                                 for m in range(1, k + 1)],
                 "signatures up to reflection"),
-    "A124696": (1, lambda k: [count_signatures(m, "cyclic")
-                              for m in range(1, k + 1)],
+    "A124696": (1, lambda k, _: [count_signatures(m, "cyclic")
+                                 for m in range(1, k + 1)],
                 "cyclic signature counts"),
-    "A208716": (1, lambda k: [count_signatures(m, "dihedral")
-                              for m in range(1, k + 1)],
+    "A208716": (1, lambda k, _: [count_signatures(m, "dihedral")
+                                 for m in range(1, k + 1)],
                 "cyclic signatures up to rotation and reflection"),
     "A104519": (1, _sequence("gamma", "grid", _diagonal),
                 "gamma of the n x n grid"),
@@ -280,7 +283,7 @@ def cmd_oeis(args: argparse.Namespace) -> int:
         raise ValueError(f"unknown sequence id {args.id!r}; known: "
                          + ", ".join(sorted(OEIS_REGISTRY)))
     offset, gen, _ = entry
-    for i, v in enumerate(gen(args.limit), start=offset):
+    for i, v in enumerate(gen(args.limit, _guards(args)), start=offset):
         sys.stdout.write(f"{i} {v}\n")
     return EXIT_OK
 

@@ -33,10 +33,12 @@ The memory guard budgets a block's two state arrays over the widest column
 domain beside the compiled column plans.  Every block allocates them once,
 as two flat buffers per part, and each column writes into the one the
 column before did not; a step's other temporaries are gathers of at most
-one chunk (128 KiB for poly, 256 KiB otherwise), three at a time.
-The row-end readout copies the exact states it reads a 128 KiB chunk at a
-time; the covered-row index and the compile's sort temporaries are not
-bounded.
+one chunk (128 KiB for poly, 256 KiB otherwise), three at a time for poly
+and count.  Mincount also keeps the minimum degrees of layer 0 and of every
+later layer until it masks the counts: a torus 9x9 block of 207 starts
+peaked at 7.6 chunks over its state arrays.  The row-end readout copies the
+exact states it reads a 128 KiB chunk at a time; the covered-row index and
+the compile's sort temporaries are not bounded.
 """
 
 from __future__ import annotations
@@ -130,61 +132,34 @@ def _column_images(kernel: str, m: int, c: int, codes: np.ndarray):
     """Vectorized single-column transition on an array of state codes.
 
     Returns (valid unoccupied mask, unoccupied images, occupied images).
-    Occupied placement is always legal; unoccupied placement fails when a
-    departing previous-row cell is still Uncovered.
+    The new cell replaces digit c - 1: the departing north cell on grid and
+    cylinder, the remembered north-west slot of the king's window (digits
+    0..c-2 the current row, c-1 that slot, c..m the previous row).  Kernels
+    differ only in which digits neighbour the new cell and which depart.
+    Unoccupied placement fails when a departing digit is still Uncovered and
+    makes the new cell Covered when a neighbour is Occupied; occupied
+    placement is always legal and upgrades each other Uncovered neighbour
+    once.  Completed rows (c = m) come back as full-row codes, without the
+    king's departing north cell.
     """
-    if kernel == "king":
-        return _column_images_king(m, c, codes)
+    near = {c - 1, c - 2} if c >= 2 else {c - 1}  # north(-west), west
+    gone = {c - 1}
+    if kernel == "king":  # north and north-east
+        near |= {c, c + 1} if c < m else {c}
+        gone |= {c} if c == m else set()
+    elif kernel == "cylinder" and c == m >= 2:
+        near.add(0)  # wrap around: column m is adjacent to column 1
+    digit = {i: codes // 3 ** i % 3 for i in near}
+    valid = np.logical_and.reduce([digit[i] != 0 for i in gone])
+    covered = np.logical_or.reduce([digit[i] == 2 for i in near])
     p = 3 ** (c - 1)
-    above = codes // p % 3
-    covered = above == 2
-    occ_dst = codes + (2 - above) * p
-    if c >= 2:
-        left = codes // (p // 3) % 3
-        covered = covered | (left == 2)
-        occ_dst = occ_dst + np.where(left == 0, p // 3, 0)
-    if kernel == "cylinder" and c == m and m >= 2:
-        # wrap around: column m is adjacent to column 1 of the same row
-        first = codes % 3
-        covered = covered | (first == 2)
-        first_now = occ_dst % 3  # the left upgrade already fixed it when m=2
-        occ_dst = occ_dst + np.where(first_now == 0, 1, 0)
-    valid = above != 0
-    plain_dst = codes + (covered.astype(np.int64) - above) * p
-    return valid, plain_dst, occ_dst
-
-
-def _column_images_king(m: int, c: int, codes: np.ndarray):
-    # window positions (0-based digit index): 0..c-2 current row, c-1 the
-    # remembered north-west cell, c..m previous row
-    pnw = 3 ** (c - 1)
-    nw = codes // pnw % 3
-    north = codes // (3 ** c) % 3
-    valid = nw != 0
+    plain_dst = codes + (covered.astype(np.int64) - digit[c - 1]) * p
+    occ_dst = codes + (2 - digit[c - 1]) * p
+    for i in near - {c - 1}:
+        occ_dst += np.where(digit[i] == 0, 3 ** i, 0)
     if c == m:
-        valid = valid & (north != 0)  # the last previous-row cell departs too
-    covered = (nw == 2) | (north == 2)
-    occ_up = np.where(north == 0, 3 ** c, 0)
-    if c >= 2:
-        left = codes // (3 ** (c - 2)) % 3
-        covered = covered | (left == 2)
-        left_up = np.where(left == 0, 3 ** (c - 2), 0)
-    else:
-        left_up = np.zeros(len(codes), dtype=np.int64)
-    if c <= m - 1:
-        ne = codes // (3 ** (c + 1)) % 3
-        covered = covered | (ne == 2)
-        occ_up = occ_up + np.where(ne == 0, 3 ** (c + 1), 0)
-    new_plain = covered.astype(np.int64)
-    if c < m:
-        plain_dst = codes + (new_plain - nw) * pnw
-        occ_dst = codes + (2 - nw) * pnw + left_up + occ_up
-        return valid, plain_dst, occ_dst
-    # row complete: keep current-row digits 0..m-2, append the new cell,
-    # prepend the virtual Covered boundary slot
-    head = 3 ** (m - 1)
-    plain_dst = 1 + 3 * (codes % head + new_plain * head)
-    occ_dst = 1 + 3 * ((codes + left_up) % head + 2 * head)
+        plain_dst %= 3 ** m
+        occ_dst %= 3 ** m
     return valid, plain_dst, occ_dst
 
 
@@ -237,6 +212,9 @@ def _compiled(kernel: str, m: int) -> tuple[np.ndarray, np.ndarray, tuple]:
     order: a destination's k-th row goes to layer k.  Destinations are
     numbered by falling fan-in, sources by the previous column's numbering
     -- column 1's by the last column's, which numbers the full-row domain.
+    The king's columns step windows, each row entering behind a virtual
+    Covered north-west slot; its last column, like every kernel's, returns
+    full rows.
     """
     start = dom = signature_codes(m, cyclic=(kernel == "cylinder"))
     if kernel == "king":  # window = virtual Covered north-west slot + the row
@@ -253,10 +231,9 @@ def _compiled(kernel: str, m: int) -> tuple[np.ndarray, np.ndarray, tuple]:
         heads = np.flatnonzero(new)  # each reached code's first row
         if c < m:
             nxt, group = moved[heads], np.arange(len(heads))
-        else:  # completed rows (past the king's slot) are valid signatures
-            done = moved[heads] // 3 if kernel == "king" else moved[heads]
-            nxt, group = start, np.searchsorted(start, done)
-            assert (start[group.clip(max=len(start) - 1)] == done).all()
+        else:  # completed rows are valid signatures
+            nxt, group = start, np.searchsorted(start, moved[heads])
+            assert (start[group.clip(max=len(start) - 1)] == moved[heads]).all()
         fan = np.ones(len(nxt) + 1, dtype=np.int8)  # unreached: the filler
         fan[group] = np.diff(np.append(heads, len(moved)))
         rank = np.empty(len(fan), dtype=np.int64)

@@ -457,14 +457,15 @@ def test_guard_exits_2(capsys):
 
 
 def test_memory_env_override(monkeypatch, capsys):
-    # growth has no --max-mem, but its sweeps honour the variable
+    # growth and oeis have no --max-mem, but their sweeps honour the variable
     monkeypatch.setenv("DOMCOUNT_MAX_MEM", "1000")
     for argv in (["poly", "--family", "grid", "-m", "8", "-n", "8"],
                  ["growth", "--family", "grid", "--m-range", "3:5",
-                  "--workers", "1"]):
-        code, _, err = run(argv, capsys)
-        assert code == 2
-        assert "guard" in err
+                  "--workers", "1"],
+                 ["oeis", "A133515", "--limit", "6"]):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, ""), argv
+        assert "guard" in err and "max_memory_bytes" in err, (argv, err)
 
 
 def test_progress_goes_to_stderr(capsys):

@@ -602,9 +602,9 @@ def test_column_plans_are_prefix_layers(kernel):
         assert sorted(index.tolist()) == list(range(len(codes)))
         row_codes = np.empty_like(codes)  # the full-row codes in state order
         row_codes[index] = codes
-        # the king's columns step windows: each row behind a virtual
+        # the king's columns step windows: each row enters behind a virtual
         # Covered north-west slot, code 3 * row + 1
-        dom = window = 3 * row_codes + 1 if kernel == "king" else row_codes
+        dom = 3 * row_codes + 1 if kernel == "king" else row_codes
         for c, plan in enumerate(plans, 1):
             sizes = [size for _, size in plan.layers]
             assert sizes == sorted(sizes, reverse=True)
@@ -637,7 +637,8 @@ def test_column_plans_are_prefix_layers(kernel):
                 assert sorted(dst_code) == list(range(plan.rows - 1))
                 dom = np.array([dst_code[d] for d in range(plan.rows - 1)])
             else:
-                assert all(window[d] == code for d, code in dst_code.items())
+                # the last column returns full-row codes in every kernel
+                assert all(row_codes[d] == code for d, code in dst_code.items())
 
 
 def _largest_admissible_prime(kernel, m):

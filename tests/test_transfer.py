@@ -29,13 +29,16 @@ _COV = CellState.COVERED
 _OCC = CellState.OCCUPIED
 
 
-def compatible(sigma: Signature, tau: Signature, cyclic: bool = False) -> bool:
+def compatible(sigma: Signature, tau: Signature, cyclic: bool = False,
+               reach: int = 0) -> bool:
     """Can row tau be placed directly below row sigma?
 
-    Three conditions, checked per column i: an uncovered sigma cell forces
-    tau_i occupied (nothing else can ever reach it); an occupied sigma cell
-    forces tau_i covered or occupied; a covered tau cell needs a justifier,
-    i.e. sigma_i occupied or a horizontally adjacent occupied cell in tau.
+    The cells below sigma_i are tau_(i-reach..i+reach): reach 0 for grid
+    and cylinder, 1 for the king.  Three conditions, checked per column i:
+    an uncovered sigma cell needs an occupied cell below it (nothing else
+    can ever reach it); an occupied sigma cell forbids an uncovered cell
+    below it; a covered tau cell needs a justifier, i.e. an occupied sigma
+    cell within the reach or a horizontally adjacent occupied cell in tau.
     Horizontal indices wrap when cyclic; otherwise boundary neighbors are
     simply ignored.
     """
@@ -44,17 +47,20 @@ def compatible(sigma: Signature, tau: Signature, cyclic: bool = False) -> bool:
     s = sigma.cells
     t = tau.cells
     m = sigma.width
+
+    def around(i, d):  # the columns within d of column i
+        return {j % m for j in range(i - d, i + d + 1) if cyclic or 0 <= j < m}
+
     for i in range(m):
-        if s[i] is _UNC and t[i] is not _OCC:
+        below = {t[j] for j in around(i, reach)}
+        if s[i] is _UNC and _OCC not in below:
             return False
-        if s[i] is _OCC and t[i] is _UNC:
+        if s[i] is _OCC and _UNC in below:
             return False
-        if t[i] is _COV and s[i] is not _OCC:
-            justified = (i > 0 and t[i - 1] is _OCC) or (i < m - 1 and t[i + 1] is _OCC)
-            if cyclic and m >= 2 and not justified:
-                justified = (i == 0 and t[m - 1] is _OCC) or (i == m - 1 and t[0] is _OCC)
-            if not justified:
-                return False
+        if t[i] is _COV and not (
+                any(s[j] is _OCC for j in around(i, reach))
+                or any(t[j] is _OCC for j in around(i, 1) - {i})):
+            return False
     return True
 
 
@@ -67,18 +73,19 @@ def column(family, sigma):
     return run_sweep(GraphSpec(family, sigma.width, 1), sigma)
 
 
-def reference_column(sigma, cyclic):
+def reference_column(sigma, cyclic, reach=0):
     """Column sigma of the transfer matrix by the definition."""
     return {tau.code: Polynomial.monomial(tau.cells.count(_OCC))
             for tau in enumerate_signatures(sigma.width, cyclic)
-            if compatible(sigma, tau, cyclic)}
+            if compatible(sigma, tau, cyclic, reach)}
 
 
 def images(kernel, m, c, window):
     """The unoccupied image (None when illegal) and the occupied image of
-    one window, in text form, under the engine's step at column c."""
+    one window, in text form, under the engine's step at column c: a row
+    of width m at c = m."""
     valid, plain, occ = _column_images(kernel, m, c, np.array([sig(window).code]))
-    width = len(window)
+    width = m if c == m else len(window)
     return (Signature(width, int(plain[0])).to_text() if valid[0] else None,
             Signature(width, int(occ[0])).to_text())
 
@@ -87,6 +94,13 @@ def test_compatible_basics():
     assert compatible(sig("oo"), sig("xx"))
     assert not compatible(sig("oo"), sig("cc"))
     assert compatible(sig("xc"), sig("co"))
+    # the king reaches the diagonals: an uncovered cell is dominated from
+    # below diagonally, and an occupied one covers the cells diagonally below
+    assert compatible(sig("oc"), sig("cx"), reach=1)
+    assert not compatible(sig("oc"), sig("cx"))
+    assert compatible(sig("xc"), sig("cc"), reach=1)
+    assert not compatible(sig("xc"), sig("cc"))
+    assert not compatible(sig("xc"), sig("co"), reach=1)
 
 
 def test_compatible_width_mismatch():
@@ -100,15 +114,24 @@ def test_compatible_wrap_justification():
     assert not compatible(sig("ccc"), sig("ccx"))
 
 
+def assert_columns_match(family, m):
+    """One row of the engine from each valid start of width m is that
+    start's column of the matrix the definition gives."""
+    cyclic, reach = family == "cylinder", int(family == "king")
+    for sigma in enumerate_signatures(m, cyclic):
+        assert column(family, sigma) == reference_column(sigma, cyclic, reach), \
+            (family, sigma.to_text())
+
+
 @pytest.mark.parametrize("m,cyclic", [(m, cyclic) for cyclic in (False, True)
                                       for m in range(1, 6)])
 def test_sweep_equals_matrix_on_basis_vectors(m, cyclic):
-    """One row of the engine from each valid start is that start's column
-    of the matrix the definition gives."""
-    family = "cylinder" if cyclic else "grid"
-    for sigma in enumerate_signatures(m, cyclic):
-        assert column(family, sigma) == reference_column(sigma, cyclic), \
-            (family, sigma.to_text())
+    assert_columns_match("cylinder" if cyclic else "grid", m)
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_king_sweep_equals_matrix_on_basis_vectors(m):
+    assert_columns_match("king", m)
 
 
 def test_sweep_row_from_fully_covered():
@@ -194,8 +217,8 @@ def test_first_cell_pending_flag():
 
 
 def test_king_window_has_an_extra_cell():
-    # the king's columns step windows: a full row behind a virtual Covered
-    # north-west slot, code 3 * row + 1; the compiled states are the rows
+    # the king's columns step windows: a row enters behind a virtual Covered
+    # north-west slot, code 3 * row + 1, and completes as a full row
     for m in range(1, 5):
         rows = signature_codes(m)
         assert _compiled("king", m)[0].tolist() == rows.tolist()
@@ -203,10 +226,8 @@ def test_king_window_has_an_extra_cell():
         for c in range(1, m + 1):
             valid, plain, occ = _column_images("king", m, c, codes)
             codes = np.unique(np.concatenate([plain[valid], occ]))
-        # completed rows come back behind the same slot
-        assert (codes % 3 == 1).all()
-        assert set((codes // 3).tolist()) <= set(rows.tolist())
-    assert images("king", 2, 2, "cxc") == ("ccc", "ccx")
+        assert set(codes.tolist()) <= set(rows.tolist())
+    assert images("king", 2, 2, "cxc") == ("cc", "cx")
 
 
 def test_king_occupied_cell_covers_diagonal_neighbors():
