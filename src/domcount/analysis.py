@@ -5,24 +5,23 @@ count of minimum dominating sets, the total at z=1), and the growth-rate
 pipeline.  The latter estimates, per strip width m, the per-vertex growth
 constant mu_m = lim_n (T(m, n) / T(m, n-1))^(1/m) where T counts dominating
 sets, then extrapolates mu_m over x = 1/m to x = 0 with rational
-Bulirsch-Stoer acceleration to estimate the bulk constant.  The ratios come
-from a float64 power iteration, so a strip converges to at most MAX_DIGITS
-stable digits.
+Bulirsch-Stoer acceleration to estimate the bulk constant, in 60-digit
+decimal arithmetic.  The ratios come from a float64 power iteration, so a
+strip converges to at most MAX_DIGITS stable digits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import ROUND_DOWN, Context, Decimal, localcontext
 from functools import partial
 from math import ceil
 from typing import Optional, Sequence
 
-import mpmath
-
 from . import engine
 from .rings import Polynomial
 
-_WORK_DPS = 60
+_WORK = Context(prec=60)  # digits of every growth computation
 
 # float64 ratios carry about 16 significant digits and settle into a fixed
 # point of their own rounding, which would pass a 15- or 16-digit test
@@ -66,7 +65,7 @@ def gamma_closed_form(family: str, m: int, n: int) -> Optional[int]:
 @dataclass(frozen=True)
 class GrowthSample:
     m: int
-    mu: mpmath.mpf
+    mu: Decimal
     n_used: int
 
 
@@ -79,12 +78,13 @@ def _check_digits(precision_digits: int) -> None:
 def _growth_sample(family: str, m: int, precision_digits: int, n_cap: int,
                    guards: engine.Guards) -> GrowthSample:
     _check_digits(precision_digits)
-    with mpmath.workdps(_WORK_DPS):
-        tol = mpmath.mpf(10) ** (-precision_digits)
-        prev_mu: Optional[mpmath.mpf] = None
+    with localcontext(_WORK):
+        tol = Decimal(10) ** -precision_digits
+        root = Decimal(1) / m
+        prev_mu: Optional[Decimal] = None
         for n, ratio in enumerate(engine.iter_ratios(family, m, guards), start=1):
             if n >= 2:  # T(1) / T(0) is all boundary
-                mu = mpmath.root(ratio, m)
+                mu = Decimal(ratio) ** root
                 if prev_mu is not None and n >= 4 and abs(mu - prev_mu) <= tol * mu:
                     return GrowthSample(m, mu, n)
                 prev_mu = mu
@@ -97,7 +97,7 @@ def _growth_sample(family: str, m: int, precision_digits: int, n_cap: int,
 
 def growth_rate_m(family: str, m: int, precision_digits: int = 13,
                   n_cap: int = 400,
-                  guards: engine.Guards = engine.DEFAULT_GUARDS) -> mpmath.mpf:
+                  guards: engine.Guards = engine.DEFAULT_GUARDS) -> Decimal:
     """Per-vertex growth constant of the width-m strip, to the requested
     number of stable digits."""
     return _growth_sample(family, m, precision_digits, n_cap, guards).mu
@@ -105,24 +105,26 @@ def growth_rate_m(family: str, m: int, precision_digits: int = 13,
 
 @dataclass(frozen=True)
 class ExtrapolationResult:
-    limit: mpmath.mpf
-    error: mpmath.mpf
+    limit: Decimal
+    error: Decimal
     used_fallback: bool
 
 
 def bulirsch_stoer_extrapolate(points: Sequence[tuple]) -> ExtrapolationResult:
     """Rational extrapolation of (x, y) samples to x = 0.
 
-    Points must have distinct positive x in descending order.  The error
-    field is the magnitude of the last tableau correction.  When the
-    rational recurrence degenerates (a vanishing denominator), the routine
-    falls back to polynomial (Neville) extrapolation and says so.
+    Points must have distinct positive x in descending order, as numbers
+    Decimal takes exactly (int, float or Decimal); the tableau runs at 60
+    significant digits.  The error field is the magnitude of the last
+    tableau correction.  When the rational recurrence degenerates (a
+    vanishing denominator), the routine falls back to polynomial (Neville)
+    extrapolation and says so.
     """
     if len(points) < 3:
         raise ValueError("need at least three samples to extrapolate")
-    with mpmath.workdps(_WORK_DPS):
-        xs = [mpmath.mpf(x) for x, _ in points]
-        ys = [mpmath.mpf(y) for _, y in points]
+    with localcontext(_WORK):
+        xs = [+Decimal(x) for x, _ in points]
+        ys = [+Decimal(y) for _, y in points]
         for a, b in zip(xs, xs[1:]):
             if not a > b > 0:
                 raise ValueError("x values must be positive, distinct, and "
@@ -134,7 +136,7 @@ def bulirsch_stoer_extrapolate(points: Sequence[tuple]) -> ExtrapolationResult:
             rows = _neville_tableau(xs, ys)
             fallback = True
         last = rows[-1]
-        error = abs(last[-1] - last[-2]) if len(last) >= 2 else mpmath.mpf(0)
+        error = abs(last[-1] - last[-2])
         return ExtrapolationResult(last[-1], error, fallback)
 
 
@@ -171,12 +173,40 @@ def _neville_tableau(xs, ys):
     return rows
 
 
+def nstr(x: Decimal, n: int) -> str:
+    """x to n significant digits, printed as mpmath.nstr(x, n) prints it.
+
+    The digits are cut to n + 3, then rounded half up at n.  With e the
+    exponent of the leading digit, the notation is fixed when
+    min(-(n // 3), -5) < e < n, else d.ddde-6 or d.ddde+21; trailing zeros
+    go, but one digit stays after the point, so zero is 0.0.
+    """
+    if not x:
+        return "0.0"
+    sign, digits, exp = Context(prec=n + 3, rounding=ROUND_DOWN).plus(
+        x).as_tuple()
+    e = exp + len(digits) - 1
+    digits = "".join(map(str, digits)).ljust(n + 3, "0")
+    head = int(digits[:n]) + (digits[n] >= "5")
+    if head == 10 ** n:  # rounded up past 9...9
+        head, e = head // 10, e + 1
+    digits, split = str(head), 1
+    fixed = min(-(n // 3), -5) < e < n
+    if fixed and e < 0:
+        digits = "0" * -e + digits
+    elif fixed:
+        digits, split = digits.ljust(e + 1, "0"), e + 1
+    text = (digits[:split] + "." + digits[split:]).rstrip("0")
+    text = ("-" if sign else "") + text + ("0" if text[-1] == "." else "")
+    return text if fixed else f"{text}e{e:+d}"
+
+
 @dataclass(frozen=True)
 class GrowthEstimate:
     family: str
     samples: tuple
-    mu: mpmath.mpf
-    error: mpmath.mpf
+    mu: Decimal
+    error: Decimal
     used_fallback: bool
 
     def to_json(self) -> dict:
@@ -184,11 +214,11 @@ class GrowthEstimate:
             "family": self.family,
             "samples": [
                 {"m": s.m, "n_used": s.n_used,
-                 "mu_m": mpmath.nstr(s.mu, 20)}
+                 "mu_m": nstr(s.mu, 20)}
                 for s in self.samples
             ],
-            "mu": mpmath.nstr(self.mu, 20),
-            "error": mpmath.nstr(self.error, 5),
+            "mu": nstr(self.mu, 20),
+            "error": nstr(self.error, 5),
         }
 
 
@@ -200,6 +230,8 @@ def estimate_growth(family: str, m_min: int = 3, m_max: int = 12,
     """Bulk growth constant from strip constants mu_{m_min}..mu_{m_max}.
 
     The torus shares the cylinder's strips, so its estimate reuses them.
+    The widths run widest first, so that on `workers` processes the
+    longest strip does not start last.
     """
     if m_max - m_min + 1 < 3:
         raise ValueError("need at least three widths")
@@ -208,10 +240,10 @@ def estimate_growth(family: str, m_min: int = 3, m_max: int = 12,
     sample = partial(_growth_sample, strip_family,
                      precision_digits=precision_digits, n_cap=n_cap,
                      guards=guards)
-    samples = list(engine._pooled(sample, list(range(m_min, m_max + 1)),
-                                  workers))
-    with mpmath.workdps(_WORK_DPS):
-        points = [(mpmath.mpf(1) / s.m, s.mu) for s in samples]
-        result = bulirsch_stoer_extrapolate(points)
+    samples = list(engine._pooled(sample, list(range(m_max, m_min - 1, -1)),
+                                  workers))[::-1]
+    with localcontext(_WORK):
+        points = [(Decimal(1) / s.m, s.mu) for s in samples]
+    result = bulirsch_stoer_extrapolate(points)
     return GrowthEstimate(family, tuple(samples), result.limit, result.error,
                           result.used_fallback)

@@ -18,7 +18,6 @@ from typing import Callable, Optional, Sequence
 
 from . import engine
 from .errors import GuardExceeded, VerificationError
-from .oracle import brute_force_polynomial
 from .rings import EXACT, Polynomial, Ring
 from .signatures import count_signatures
 
@@ -185,9 +184,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_growth(args: argparse.Namespace) -> int:
-    import mpmath
-
-    from . import analysis  # mpmath loads only for growth
+    from . import analysis
     est = analysis.estimate_growth(
         args.family, args.m_range[0], args.m_range[-1],
         precision_digits=args.digits, n_cap=args.n_cap,
@@ -195,10 +192,10 @@ def cmd_growth(args: argparse.Namespace) -> int:
     if args.format == "json":
         sys.stdout.write(json.dumps(est.to_json()) + "\n")
         return EXIT_OK
-    lines = [f"m={s.m} n_used={s.n_used} mu_m={mpmath.nstr(s.mu, 20)}"
+    lines = [f"m={s.m} n_used={s.n_used} mu_m={analysis.nstr(s.mu, 20)}"
              for s in est.samples]
-    lines.append(f"mu = {mpmath.nstr(est.mu, 20)} (error ~ "
-                 f"{mpmath.nstr(est.error, 5)})")
+    lines.append(f"mu = {analysis.nstr(est.mu, 20)} (error ~ "
+                 f"{analysis.nstr(est.error, 5)})")
     sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -224,7 +221,7 @@ def _sequence(kind: str, family: str, cells: Callable):
 
 
 def _king_gamma(k: int, guards: engine.Guards) -> list[int]:
-    from . import analysis  # mpmath loads only for this sequence
+    from . import analysis
     return [analysis.gamma_closed_form("king", m, n)
             for m, n in _antidiagonal(k)]
 
@@ -308,6 +305,7 @@ def _fixture_poly(data: dict, family: str, n: int) -> tuple[int, list[int], list
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import oracle
     report = []
     failures = []
 
@@ -324,7 +322,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             for n in range(1, args.max_cells // m + 1):
                 spec = engine.GraphSpec(family, m, n)
                 got = engine.domination_polynomial(spec).trimmed()
-                want = brute_force_polynomial(spec, cell_guard=args.max_cells).trimmed()
+                want = oracle.brute_force_polynomial(
+                    spec, cell_guard=args.max_cells).trimmed()
                 if got.coefficients != want.coefficients:
                     diff = next(d for d in range(max(got.degree(), want.degree()) + 1)
                                 if got.coefficient(d) != want.coefficient(d))

@@ -44,6 +44,10 @@ the compile's sort temporaries are not bounded.
 from __future__ import annotations
 
 import itertools
+import os
+import pickle
+import select
+import signal
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterator, Optional, Sequence
@@ -128,6 +132,16 @@ def _kernel_for(family: str) -> str:
     return "cylinder" if family == "torus" else family
 
 
+def _digit(codes: np.ndarray, i: int) -> np.ndarray:
+    """Digit i of every code, built from scalar floor divisions, which NumPy
+    runs much faster than %."""
+    q = codes // 3 ** i
+    r = q // 3
+    r *= 3
+    q -= r
+    return q
+
+
 def _column_images(kernel: str, m: int, c: int, codes: np.ndarray):
     """Vectorized single-column transition on an array of state codes.
 
@@ -149,14 +163,24 @@ def _column_images(kernel: str, m: int, c: int, codes: np.ndarray):
         gone |= {c} if c == m else set()
     elif kernel == "cylinder" and c == m >= 2:
         near.add(0)  # wrap around: column m is adjacent to column 1
-    digit = {i: codes // 3 ** i % 3 for i in near}
-    valid = np.logical_and.reduce([digit[i] != 0 for i in gone])
-    covered = np.logical_or.reduce([digit[i] == 2 for i in near])
     p = 3 ** (c - 1)
-    plain_dst = codes + (covered.astype(np.int64) - digit[c - 1]) * p
-    occ_dst = codes + (2 - digit[c - 1]) * p
+    valid = np.ones(len(codes), dtype=bool)
+    covered = np.zeros(len(codes), dtype=bool)
+    occ_dst = codes + 2 * p
     for i in near - {c - 1}:
-        occ_dst += np.where(digit[i] == 0, 3 ** i, 0)
+        q = _digit(codes, i)
+        if i in gone:
+            valid &= q != 0
+        covered |= q == 2
+        np.add(occ_dst, 3 ** i, out=occ_dst, where=q == 0)
+        del q  # before the next digit is built
+    q = _digit(codes, c - 1)  # the replaced digit, last
+    valid &= q != 0
+    covered |= q == 2
+    q *= p
+    occ_dst -= q
+    plain_dst = codes - q
+    np.add(plain_dst, p, out=plain_dst, where=covered)
     if c == m:
         plain_dst %= 3 ** m
         occ_dst %= 3 ** m
@@ -223,6 +247,7 @@ def _compiled(kernel: str, m: int) -> tuple[np.ndarray, np.ndarray, tuple]:
     for c in range(1, m + 1):
         valid, plain_dst, occ_dst = _column_images(kernel, m, c, dom)
         moved = np.concatenate([plain_dst[valid], occ_dst])
+        del plain_dst, occ_dst  # freed before the sort, the compile's peak
         src = np.concatenate([np.flatnonzero(valid), np.arange(len(dom))])
         src = src if rank is None else rank[src]
         order = np.argsort(moved, kind="stable")
@@ -265,7 +290,7 @@ def _covered_rows(kernel: str, m: int) -> np.ndarray:
     dom, index, _ = _compiled(kernel, m)
     ok = np.ones(len(dom), dtype=bool)
     for i in range(m):
-        ok &= (dom // 3 ** i % 3) != 0
+        ok &= _digit(dom, i) != 0
     return index[ok]
 
 
@@ -578,14 +603,116 @@ def _run_block(job) -> list[tuple]:
 
 def _pooled(work: Callable, jobs: list, procs: int) -> Iterator:
     """work(job) for each job in order, as each finishes, on up to `procs`
-    processes."""
-    if procs <= 1 or len(jobs) <= 1:
+    forked processes.
+
+    The workers fork from the caller, so they share what it built before
+    (column plans, start indices) without pickling it.  They take job
+    indices from one pipe, 4 bytes a read, so a free worker takes the next
+    job, and send back pickled (index, failed, result or exception) records
+    on a pipe of their own.  A job's exception is raised again here, and a
+    worker that dies raises RuntimeError.  However the caller stops, every
+    worker is killed and reaped and every pipe closed.  A fork copies only
+    the calling thread, so no job may wait on another thread (the engine
+    starts none).  Without os.fork the jobs run serially.
+    """
+    procs = min(procs, len(jobs))
+    if procs <= 1 or not hasattr(os, "fork"):
         yield from map(work, jobs)
         return
-    # imported here: it loads multiprocessing, which serial runs skip
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=min(procs, len(jobs))) as pool:
-        yield from pool.map(work, jobs)
+    feed, feeder = os.pipe()
+    os.set_blocking(feeder, False)  # topped up between reads of results
+    workers: dict[int, int] = {}  # result pipe read end -> worker pid
+    try:
+        for _ in range(procs):
+            out, into = os.pipe()
+            workers[out] = 0  # not forked yet
+            try:
+                pid = os.fork()
+                if pid == 0:  # the worker: never returns
+                    _serve(work, jobs, feed, into, [feeder, *workers])
+            finally:
+                os.close(into)
+            workers[out] = pid
+        os.close(feed)
+        feed = None
+        todo = iter(range(len(jobs)))
+        nxt = next(todo)
+        done: dict[int, object] = {}
+        pending = {out: bytearray() for out in workers}
+        for i in range(len(jobs)):
+            while i not in done:
+                while nxt is not None:  # 4-byte writes are atomic on a pipe
+                    try:
+                        os.write(feeder, nxt.to_bytes(4, "little"))
+                    except BlockingIOError:
+                        break
+                    nxt = next(todo, None)
+                if nxt is None and feeder is not None:
+                    os.close(feeder)  # end of jobs: idle workers exit
+                    feeder = None
+                if not workers:
+                    raise RuntimeError("pool workers exited before job "
+                                       f"{i} returned")
+                ready, _, _ = select.select(
+                    list(workers), [] if feeder is None else [feeder], [])
+                for out in ready:
+                    _receive(out, workers, pending[out], done)
+            yield done.pop(i)
+    finally:
+        for pid in filter(None, workers.values()):
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for fd in (feed, feeder, *workers):
+            if fd is not None:
+                os.close(fd)
+
+
+def _serve(work: Callable, jobs: list, feed: int, into: int,
+           inherited: list[int]) -> None:
+    """A pool worker: run each job whose index it reads from `feed`, send
+    its record into `into`, and exit at the end of the feed."""
+    status = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        while len(raw := os.read(feed, 4)) == 4:
+            i = int.from_bytes(raw, "little")
+            try:
+                record = (i, False, work(jobs[i]))
+            except Exception as exc:  # the parent raises it again
+                record = (i, True, exc)
+            data = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
+            view = memoryview(len(data).to_bytes(8, "little") + data)
+            while view:
+                view = view[os.write(into, view):]
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _receive(out: int, workers: dict[int, int], buf: bytearray,
+             done: dict) -> None:
+    """Read what the worker on pipe `out` has sent, moving each whole
+    record into `done`; at the end of the pipe reap the worker, and raise
+    if it did not exit cleanly."""
+    data = os.read(out, 1 << 20)
+    if not data:
+        pid = workers.pop(out)
+        os.close(out)
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if status:
+            raise RuntimeError(f"pool worker {pid} died ("
+                               + (f"signal {-status}" if status < 0
+                                  else f"exit status {status}") + ")")
+        return
+    buf += data
+    while len(buf) >= 8 and len(buf) >= 8 + (size := int.from_bytes(
+            buf[:8], "little")):
+        i, failed, value = pickle.loads(buf[8:8 + size])
+        del buf[:8 + size]
+        if failed:
+            raise value
+        done[i] = value
 
 
 def _aggregate(mode: str, parts: list[tuple], groups: list):
@@ -647,6 +774,8 @@ def _series(family: str, m: int, n: Optional[int], mode: str, guards: Guards,
     if len(jobs) == 1:
         rows = ([part] for part in reported(_block_rows(jobs[0]), "row", n))
     else:  # each row's partial readouts over the blocks
+        if weights is None:  # built once, before the pool forks
+            _covered_rows(kernel, m)
         rows = zip(*reported(_pooled(_run_block, jobs, workers), "block",
                              len(jobs)))
     for parts in rows:

@@ -238,13 +238,13 @@ def closed_form_count(m: int, variant: str = "plain") -> int:
     source of truth.  Evaluated at 50 significant digits so rounding is exact
     for every width up to MAX_WIDTH.
     """
-    import mpmath
+    from decimal import Context, Decimal, localcontext
 
     if m < 0:
         raise ValueError("width must be nonnegative")
-    with mpmath.workdps(50):
-        lam = 1 + mpmath.sqrt(2)
-        lam_conj = 1 - mpmath.sqrt(2)
+    with localcontext(Context(prec=50)):
+        lam = 1 + Decimal(2).sqrt()
+        lam_conj = 1 - Decimal(2).sqrt()
         if variant == "plain":
             # coefficients (1 -+ sqrt 2)/2 of the two Pell eigenvalues
             val = (lam_conj * lam_conj**m + lam * lam**m) / 2
@@ -252,7 +252,7 @@ def closed_form_count(m: int, variant: str = "plain") -> int:
             val = 1 + lam_conj**m + lam**m
         else:
             raise ValueError(f"no closed form for variant {variant!r}")
-        return int(mpmath.nint(val))
+        return int(val.to_integral_value())
 
 
 def reflect(sig: Signature) -> Signature:

@@ -9,9 +9,9 @@ targets, whose tolerances are stated inline.
 
 import os
 import random
+from decimal import Decimal
 from math import ceil
 
-import mpmath
 import pytest
 
 from domcount.analysis import estimate_growth
@@ -144,15 +144,15 @@ def test_multimodular_reconstruction_matches_exact():
 
 
 def test_growth_constant_estimates():
-    bulk = mpmath.mpf("1.9547511954")
+    bulk = Decimal("1.9547511954")
     grid = estimate_growth("grid", 3, 12)
-    assert abs(grid.mu - bulk) <= mpmath.mpf("1e-6")
+    assert abs(grid.mu - bulk) <= Decimal("1e-6")
     cylinder = estimate_growth("cylinder", 3, 14)
-    assert abs(cylinder.mu - bulk) <= mpmath.mpf("1e-6")
+    assert abs(cylinder.mu - bulk) <= Decimal("1e-6")
     king = estimate_growth("king", 3, 13)
-    king_target = mpmath.mpf("1.9970643866")
-    assert abs(king.mu - king_target) <= mpmath.mpf("1e-5")
-    assert mpmath.mpf("1.9969") <= king.mu <= mpmath.mpf("1.9972")
+    king_target = Decimal("1.9970643866")
+    assert abs(king.mu - king_target) <= Decimal("1e-5")
+    assert Decimal("1.9969") <= king.mu <= Decimal("1.9972")
 
 
 def test_king_domination_number_closed_form():

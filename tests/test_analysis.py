@@ -1,3 +1,6 @@
+import random
+from decimal import Context, Decimal, localcontext
+
 import mpmath
 import pytest
 
@@ -6,6 +9,7 @@ from domcount.analysis import (
     estimate_growth,
     gamma_closed_form,
     growth_rate_m,
+    nstr,
     stats_from_polynomial,
 )
 from domcount.engine import GraphSpec, domination_polynomial, iter_counts
@@ -55,20 +59,27 @@ def test_extrapolation_is_exact_on_constants():
 
 
 def test_extrapolation_is_exact_on_small_rational_functions():
-    with mpmath.workdps(60):
-        xs = [mpmath.mpf(1) / (k + 1) for k in range(6)]
+    with localcontext(Context(prec=60)):
+        xs = [Decimal(1) / (k + 1) for k in range(6)]
         points = [(x, (1 + x) / (1 + 2 * x)) for x in xs]
         result = bulirsch_stoer_extrapolate(points)
-        assert abs(result.limit - 1) < mpmath.mpf(10) ** -40
+        assert abs(result.limit - 1) < Decimal(10) ** -40
         assert not result.used_fallback
 
 
 def test_extrapolation_handles_polynomial_data():
-    with mpmath.workdps(60):
-        xs = [mpmath.mpf(1) / (k + 2) for k in range(5)]
+    with localcontext(Context(prec=60)):
+        xs = [Decimal(1) / (k + 2) for k in range(5)]
         points = [(x, 2 + 3 * x**2) for x in xs]
         result = bulirsch_stoer_extrapolate(points)
-        assert abs(result.limit - 2) < mpmath.mpf(10) ** -40
+        assert abs(result.limit - 2) < Decimal(10) ** -40
+
+
+def test_extrapolation_takes_float_widths_and_decimal_values():
+    # as perfbench/layers.py passes them: x = 1 / m in float64
+    points = [(1 / m, Decimal(1) + Decimal(1) / m) for m in (3, 4, 5, 6)]
+    result = bulirsch_stoer_extrapolate(points)
+    assert abs(result.limit - 1) < Decimal(10) ** -15
 
 
 def test_extrapolation_falls_back_when_the_recurrence_degenerates():
@@ -76,8 +87,8 @@ def test_extrapolation_falls_back_when_the_recurrence_degenerates():
     result = bulirsch_stoer_extrapolate(points)
     assert result.used_fallback
     # polynomial extrapolation through the same three points
-    with mpmath.workdps(60):
-        assert abs(result.limit - mpmath.mpf(11) / 3) < mpmath.mpf(10) ** -30
+    with localcontext(Context(prec=60)):
+        assert abs(result.limit - Decimal(11) / 3) < Decimal(10) ** -30
 
 
 def test_extrapolation_input_validation():
@@ -96,7 +107,7 @@ def test_growth_rate_of_the_single_column_strip():
     mu = growth_rate_m("grid", 1, precision_digits=13)
     with mpmath.workdps(30):
         anchor = mpmath.findroot(lambda x: x**3 - x**2 - x - 1, 1.8)
-        assert abs(mu - anchor) < mpmath.mpf(10) ** -12
+        assert abs(mpmath.mpf(str(mu)) - anchor) < mpmath.mpf(10) ** -12
 
 
 def _exact_growth_sample(family, m, digits):
@@ -122,7 +133,8 @@ def test_float_growth_matches_the_exact_count_stream(family, m_min, m_max):
         assert s.n_used == n_used, f"{family} m={s.m}"
         # float64 ratios: a few ulps relative, shrunk by the m-th root
         with mpmath.workdps(60):
-            assert abs(s.mu - mu) <= mpmath.mpf("1e-15") * mu, f"{family} m={s.m}"
+            assert abs(mpmath.mpf(str(s.mu)) - mu) <= mpmath.mpf("1e-15") * mu, \
+                f"{family} m={s.m}"
 
 
 def test_growth_rate_refuses_to_run_past_the_cap():
@@ -142,7 +154,7 @@ def test_estimate_growth_small_run():
     assert est.family == "grid"
     assert [s.m for s in est.samples] == [3, 4, 5, 6]
     assert all(s.n_used >= 4 for s in est.samples)
-    assert abs(est.mu - mpmath.mpf("1.9547511954")) < mpmath.mpf("5e-3")
+    assert abs(est.mu - Decimal("1.9547511954")) < Decimal("5e-3")
     payload = est.to_json()
     assert payload["family"] == "grid"
     assert len(payload["samples"]) == 4
@@ -160,10 +172,36 @@ def test_torus_growth_reuses_cylinder_strips():
     torus = estimate_growth("torus", 3, 5, precision_digits=8)
     cylinder = estimate_growth("cylinder", 3, 5, precision_digits=8)
     assert torus.family == "torus"
-    assert [mpmath.nstr(s.mu, 15) for s in torus.samples] == \
-        [mpmath.nstr(s.mu, 15) for s in cylinder.samples]
+    assert [nstr(s.mu, 15) for s in torus.samples] == \
+        [nstr(s.mu, 15) for s in cylinder.samples]
 
 
 def test_estimate_growth_needs_three_widths():
     with pytest.raises(ValueError):
         estimate_growth("grid", 3, 4)
+
+
+@pytest.mark.parametrize("digits", [5, 20])
+def test_nstr_prints_what_mpmath_prints(digits):
+    """On generic values (40 random digits, so no cut lands on a tie that
+    mpmath's binary value would break the other way), over exponents in
+    and out of the fixed-notation range, and both signs."""
+    rnd = random.Random(digits)
+    for _ in range(2000):
+        text = (rnd.choice(("", "-")) + str(rnd.randint(1, 9))
+                + "".join(rnd.choices("0123456789", k=38))
+                + str(rnd.randint(1, 9)) + f"e{rnd.randint(-70, 30)}")
+        with mpmath.workdps(80):
+            want = mpmath.nstr(mpmath.mpf(text), digits)
+        assert nstr(Decimal(text), digits) == want, text
+
+
+def test_nstr_edge_cases():
+    for value, digits, text in [("0", 5, "0.0"), ("9.99999", 5, "10.0"),
+                                ("99999.5", 5, "1.0e+5"), ("1e-5", 5, "1.0e-5"),
+                                ("1e-5", 20, "0.00001"), ("1e-6", 20, "1.0e-6"),
+                                ("1234567", 20, "1234567.0"),
+                                ("0.00045507", 5, "0.00045507")]:
+        with mpmath.workdps(80):
+            assert mpmath.nstr(mpmath.mpf(value), digits) == text
+        assert nstr(Decimal(value), digits) == text

@@ -144,20 +144,31 @@ def test_transposable_boards_check_the_narrow_side(capsys):
 
 
 def test_count_table_and_poly_load_neither_mpmath_nor_multiprocessing():
+    # poly runs on the pool: the torus 6x6 at this budget is several blocks
     script = (
         "import sys\n"
         "from domcount import cli\n"
+        "def loaded(names):\n"
+        "    print('loaded', sorted(m for m in sys.modules if m in names\n"
+        "                           or m.split('.')[0] in names))\n"
         "for argv in (['count', '--family', 'grid', '-m', '3', '-n', '3'],\n"
         "             ['table', 'ngamma', '--family', 'king', '--m-range', '1:3'],\n"
-        "             ['poly', '--family', 'grid', '-m', '3', '-n', '3']):\n"
+        "             ['poly', '--family', 'grid', '-m', '3', '-n', '3'],\n"
+        "             ['poly', '--family', 'torus', '-m', '6', '-n', '6',\n"
+        "              '--workers', '2', '--max-mem', '400000']):\n"
         "    assert cli.main(argv) == 0\n"
-        "print(sorted(m for m in sys.modules\n"
-        "             if m.split('.')[0] in ('mpmath', 'multiprocessing')))\n")
+        "loaded(('mpmath', 'multiprocessing', 'concurrent', 'domcount.oracle',\n"
+        "        'domcount.analysis'))\n"
+        "assert cli.main(['growth', '--family', 'grid', '--m-range', '3:5',\n"
+        "                 '--digits', '8', '--workers', '2']) == 0\n"
+        "loaded(('mpmath', 'multiprocessing', 'concurrent'))\n")
     src = str(Path(domcount.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                           capture_output=True, text=True, timeout=120)
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert [line for line in proc.stdout.splitlines()
+            if line.startswith("loaded")] == ["loaded []", "loaded []"]
+    assert "block 1/" in proc.stderr
 
 
 def test_growth_json(capsys):
@@ -180,11 +191,14 @@ def test_growth_text(capsys):
 
 
 def test_growth_that_cannot_converge_exits_2(capsys):
-    code, _, err = run(["growth", "--family", "grid", "--m-range", "3:5",
-                        "--digits", "13", "--n-cap", "4", "--workers", "1"],
-                       capsys)
-    assert code == 2
-    assert "aborted" in err
+    # on two workers the RuntimeError is raised in a pool worker and again,
+    # with its type and message, in the parent
+    for workers in ("1", "2"):
+        code, _, err = run(["growth", "--family", "grid", "--m-range", "3:5",
+                            "--digits", "13", "--n-cap", "4", "--workers",
+                            workers], capsys)
+        assert code == 2
+        assert "aborted" in err and "did not stabilize" in err
 
 
 def test_oeis_signature_counts(capsys):
@@ -351,15 +365,16 @@ def test_verify_small(capsys):
 
 def test_verify_reports_an_oracle_mismatch(monkeypatch, capsys):
     # the oracle's grid 2x2, 6z^2 + 4z^3 + z^4, with z^3 changed to 5
-    oracle = cli.brute_force_polynomial
+    from domcount import oracle
+    brute_force = oracle.brute_force_polynomial
 
     def changed(spec, cell_guard):
-        poly = oracle(spec, cell_guard=cell_guard)
+        poly = brute_force(spec, cell_guard=cell_guard)
         if (spec.family, spec.m, spec.n) == ("grid", 2, 2):
             poly = Polynomial.from_coefficients([0, 0, 6, 5, 1])
         return poly
 
-    monkeypatch.setattr(cli, "brute_force_polynomial", changed)
+    monkeypatch.setattr(oracle, "brute_force_polynomial", changed)
     code, out, err = run(["verify", "--max-cells", "4"], capsys)
     assert code == 3
     lines = out.splitlines()

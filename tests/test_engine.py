@@ -1,3 +1,6 @@
+import os
+import signal
+import time
 import tracemalloc
 from itertools import islice
 
@@ -190,6 +193,78 @@ def test_pooled_torus_series_past_66_cells():
     # pooled readout
     assert polynomial_series("torus", 5, 14, workers=2) == \
         polynomial_series("torus", 5, 14, workers=1)
+
+
+@pytest.fixture
+def pool_cleanup():
+    """Fails the test if it hangs for a minute, or leaves a child process
+    or an open file descriptor behind."""
+    fds = set(os.listdir("/proc/self/fd")) if os.path.isdir(
+        "/proc/self/fd") else None
+
+    def expire(*_):
+        raise TimeoutError("the pool hung")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    with pytest.raises(ChildProcessError):  # no child, running or exited
+        os.waitpid(-1, os.WNOHANG)
+    if fds is not None:
+        assert set(os.listdir("/proc/self/fd")) == fds
+
+
+def _slow_for_early_jobs(job):
+    time.sleep(0.05 * (3 - job) if job < 3 else 0)
+    return job, time.monotonic()
+
+
+def test_pool_yields_in_job_order_when_jobs_finish_out_of_order(pool_cleanup):
+    got = list(engine._pooled(_slow_for_early_jobs, list(range(8)), 3))
+    assert [job for job, _ in got] == list(range(8))
+    finished = [t for _, t in got]
+    assert finished[0] > finished[3]  # job 3 was done before job 0
+
+
+def _fails_at_five(job):
+    if job == 5:
+        raise ValueError(f"job {job} is bad")
+    return job * job
+
+
+def test_pool_raises_a_job_exception_with_its_type_and_message(pool_cleanup):
+    with pytest.raises(ValueError, match="^job 5 is bad$"):
+        list(engine._pooled(_fails_at_five, list(range(8)), 2))
+    assert list(engine._pooled(_fails_at_five, list(range(5)), 2)) == \
+        [0, 1, 4, 9, 16]
+
+
+def _dies_at_two(job):
+    if job == 2:
+        os.kill(os.getpid(), signal.SIGKILL)
+    time.sleep(0.01)
+    return job
+
+
+def test_pool_raises_when_a_worker_dies(pool_cleanup):
+    with pytest.raises(RuntimeError, match="signal 9"):
+        list(engine._pooled(_dies_at_two, list(range(6)), 2))
+
+
+def test_pool_stops_cleanly_when_the_caller_closes_it(pool_cleanup):
+    results = engine._pooled(_slow_for_early_jobs, list(range(6)), 2)
+    assert next(results)[0] == 0
+    results.close()
+
+
+def test_pool_runs_serially_without_fork(monkeypatch, pool_cleanup):
+    monkeypatch.delattr(os, "fork")
+    assert list(engine._pooled(_fails_at_five, list(range(4)), 2)) == \
+        [0, 1, 4, 9]
 
 
 def test_torus_scheduling_does_not_change_the_result():
