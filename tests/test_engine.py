@@ -219,7 +219,7 @@ def pool_cleanup():
 
 
 def _slow_for_early_jobs(job):
-    time.sleep(0.05 * (3 - job) if job < 3 else 0)
+    time.sleep(0.1 * (3 - job) if job < 3 else 0)
     return job, time.monotonic()
 
 
