@@ -644,8 +644,8 @@ def _pooled(work: Callable, jobs: list, procs: int) -> Iterator:
                 while nxt is not None:  # 4-byte writes are atomic on a pipe
                     try:
                         os.write(feeder, nxt.to_bytes(4, "little"))
-                    except BlockingIOError:
-                        break
+                    except (BlockingIOError, BrokenPipeError):
+                        break  # full, or every worker died: select sees which
                     nxt = next(todo, None)
                 if nxt is None and feeder is not None:
                     os.close(feeder)  # end of jobs: idle workers exit

@@ -255,6 +255,17 @@ def test_pool_raises_when_a_worker_dies(pool_cleanup):
         list(engine._pooled(_dies_at_two, list(range(6)), 2))
 
 
+def _dies(job):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def test_pool_raises_when_every_worker_dies_with_jobs_unsent(pool_cleanup):
+    # more job numbers than the pipe holds, so the parent still feeds it
+    # when no worker is left to read it
+    with pytest.raises(RuntimeError, match="signal 9"):
+        list(engine._pooled(_dies, list(range(100_000)), 2))
+
+
 def test_pool_stops_cleanly_when_the_caller_closes_it(pool_cleanup):
     results = engine._pooled(_slow_for_early_jobs, list(range(6)), 2)
     assert next(results)[0] == 0
