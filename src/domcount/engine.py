@@ -33,12 +33,13 @@ The memory guard budgets a block's two state arrays over the widest column
 domain beside the compiled column plans.  Every block allocates them once,
 as two flat buffers per part, and each column writes into the one the
 column before did not; a step's other temporaries are gathers of at most
-one chunk (128 KiB for poly, 256 KiB otherwise), three at a time for poly
-and count.  Mincount also keeps the minimum degrees of layer 0 and of every
-later layer until it masks the counts: a torus 9x9 block of 207 starts
-peaked at 7.6 chunks over its state arrays.  The row-end readout copies the
-exact states it reads a 128 KiB chunk at a time; the covered-row index and
-the compile's sort temporaries are not bounded.
+one chunk (128 KiB for poly, 256 KiB otherwise), layer 0 or a run of whole
+later layers, three at a time for poly and count.  Mincount also keeps the
+minimum degrees of layer 0 and of every run until it masks the counts: a
+torus 9x9 block of 207 starts peaked at 5.4 chunks over its state arrays.
+The row-end readout copies the exact states it reads a 128 KiB chunk at a
+time; the covered-row index and the compile's sort temporaries are not
+bounded.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import pickle
 import select
 import signal
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -181,8 +182,8 @@ def _column_images(kernel: str, m: int, c: int, codes: np.ndarray):
     occ_dst -= q
     plain_dst = codes - q
     np.add(plain_dst, p, out=plain_dst, where=covered)
-    if c == m:
-        plain_dst %= 3 ** m
+    if m in gone:  # the king's departing north cell: grid and cylinder
+        plain_dst %= 3 ** m  # codes already lie below 3^m
         occ_dst %= 3 ** m
     return valid, plain_dst, occ_dst
 
@@ -191,9 +192,10 @@ def _column_images(kernel: str, m: int, c: int, codes: np.ndarray):
 class _GatherPlan:
     """Both moves of one column in fan-in layers: layer k, the k-th
     gathered row of every destination that has one, covers destinations
-    [0, size) with the rows src[offset:offset + size].  The last
-    destination is the filler row ending every state array (zero counts,
-    _INF degrees), which a destination no move reaches gathers."""
+    [0, size) with the rows src[offset:offset + size], ending where layer
+    k + 1 begins, so a step gathers whole layers in runs of up to a chunk.
+    The last destination is the filler row ending every state array (zero
+    counts, _INF degrees), which a destination no move reaches gathers."""
 
     src: np.ndarray    # int32 source row per gathered row
     plain: np.ndarray  # int8: 1 for the unoccupied move, 0 for the occupied
@@ -207,24 +209,9 @@ class _GatherPlan:
     def rows(self) -> int:  # destinations, the filler row included
         return self.layers[0][1]
 
-    @cached_property
-    def tail(self) -> tuple[np.ndarray, np.ndarray]:
-        """src and plain of the later layers as (fan-in - 1, size of layer
-        1), padded with the filler row, for small plans."""
-        offsets, sizes = (np.array(x)[:, None] for x in zip(*self.layers[1:]))
-        d = np.arange(self.layers[1][1])
-        rows = np.where(d < sizes, offsets + d, self.rows - 1)  # filler
-        return self.src[rows], np.where(d < sizes, self.plain[rows], 0)
-
     @property
     def nbytes(self) -> int:
-        """src and plain, and the tail a step may cache: a step builds it
-        only while it fits one gather chunk of rows."""
-        tail = 0 if self.fan_in == 1 else (self.fan_in - 1) * self.layers[1][1]
-        if tail > _GATHER_BYTES // 8:
-            tail = 0
-        return (self.src.nbytes + self.plain.nbytes
-                + tail * (self.src.itemsize + self.plain.itemsize))
+        return self.src.nbytes + self.plain.nbytes
 
 
 @lru_cache(maxsize=64)
@@ -323,9 +310,11 @@ def _step(D: Optional[np.ndarray], C: Optional[np.ndarray], plan: _GatherPlan,
     at the minimum degree; the occupied move adds one to the degree.  Slot
     0 of the poly degree axis is a zero pad, so the window at a row is the
     row one degree up and the window one slot later the row itself.  Per
-    chunk of destinations, layer 0 is gathered and the later layers, summed,
-    are added: float64 counts add as a0 + (a1 + a2 + ...).  Min-plus folds
-    in one later layer at a time; mincount keeps them all to mask counts.
+    chunk of destinations [a, b), layer 0 is gathered into the output and
+    layer k's rows src[offset + a:offset + min(b, size)] feed destinations
+    a, a + 1, ...; adjacent ones join into runs of up to a chunk, one take
+    each.  Float64 counts add as a0 + (a1 + a2 + ...); mincount masks each
+    run's counts against the minimum.
     """
     n0 = plan.rows
     poly = C is not None and C.ndim == 3  # counts are (states + 1, ..., lanes)
@@ -340,57 +329,66 @@ def _step(D: Optional[np.ndarray], C: Optional[np.ndarray], plan: _GatherPlan,
         outC[:, 0] = 0
         sums = outC[:, 1:]
 
-    def gather(src, plain):  # the values of gathered rows
+    def gather(r0, r1):  # the values of gathered rows r0:r1
         if poly:
-            return windows[src * np.int64(width) + plain]
-        return C.take(src, axis=0, mode="clip")
+            idx = plan.src[r0:r1] * np.int64(width)
+            idx += plan.plain[r0:r1]
+            return windows[idx]
+        return C.take(plan.src[r0:r1], axis=0, mode="clip")
 
-    def lifted(src, plain):  # the degrees of gathered rows
-        deg = D.take(src, axis=0, mode="clip")
-        deg += 1 - plain[..., None]
+    def lifted(r0, r1):  # the degrees of gathered rows r0:r1
+        deg = D.take(plan.src[r0:r1], axis=0, mode="clip")
+        deg += 1 - plan.plain[r0:r1, None]
         return deg
-
-    def fold(low, deg):  # the least of deg's layers into low, in place
-        least = deg[0] if len(deg) == 1 else deg.min(axis=0)
-        np.minimum(low[:len(least)], least, out=low[:len(least)])
-        return None if C is None else deg  # kept to mask the counts
 
     chunk = max(1, (_POLY_GATHER_BYTES if poly else _GATHER_BYTES) // (
         8 * sum(a[0].size for a in (D, C) if a is not None)))
-    for a in range(0, n0, chunk):
-        b = min(a + chunk, n0)
-        # the later layers in one padded block while it fits a chunk (half
-        # one for counts alone, which save the fewest calls), else one each
-        pieces = [(lo + a, lo + min(b, n))
-                  for lo, n in plan.layers[1:] if n > a]
-        if pieces and (plan.fan_in - 1) * plan.layers[1][1] <= chunk // (
-                1 + (D is None and not poly)):
-            blocks = [plan.tail]
-        else:
-            blocks = [(plan.src[None, r0:r1], plan.plain[None, r0:r1])
-                      for r0, r1 in pieces]
+    n1 = plan.layers[1][1] if plan.fan_in > 1 else 0  # fan-in above 1
+
+    def fold(a, b):  # destinations [a, b), whose temporaries die with it
+        runs = []  # [first row, end row, [(row in run, rows) per layer]]
+        for lo, n in plan.layers[1:]:
+            if n <= a:
+                break
+            r0, r1 = lo + a, lo + min(b, n)
+            if runs and runs[-1][1] == r0 and r1 - runs[-1][0] <= chunk:
+                runs[-1][1] = r1
+                runs[-1][2].append((r0 - runs[-1][0], r1 - r0))
+            else:
+                runs.append([r0, r1, [(0, r1 - r0)]])
         if D is not None:
-            outD[a:b] = lifted(plan.src[a:b], plan.plain[a:b])
-            low = outD[a:a + (pieces[0][1] - pieces[0][0] if pieces else 0)]
+            outD[a:b] = lifted(a, b)
+            low = outD[a:min(b, n1)]
             first = None if C is None else low.copy()
-            degs = [fold(low, lifted(*block)) for block in blocks]
+            degs = []  # each run's degrees, kept to mask its counts
+            for r0, r1, parts in runs:
+                degs.append(lifted(r0, r1))
+                for at, n in parts:
+                    np.minimum(low[:n], degs[-1][at:at + n], out=low[:n])
+                if C is None:
+                    degs.pop()  # min-plus holds one run's degrees at a time
         if C is None:
-            continue
-        sums[a:b] = gather(plan.src[a:b], plan.plain[a:b])
+            return
+        sums[a:b] = gather(a, b)
         if D is not None:
             _keep(sums[a:a + len(low)], first == low)
         acc = None
-        for i, block in enumerate(blocks):
-            got = gather(*block)
+        for i, (r0, r1, parts) in enumerate(runs):
+            got = gather(r0, r1)
             if D is not None:
-                _keep(got, degs[i] == low[:got.shape[1]])
-            got = got[0] if len(got) == 1 else got.sum(axis=0)
-            if acc is None:
-                acc = got
-            else:
-                acc[:len(got)] += got
+                _keep(got, degs[i] == np.concatenate(
+                    [low[:n] for _, n in parts]))
+            for at, n in parts:
+                if acc is None:
+                    acc = got[at:at + n]
+                else:
+                    acc[:n] += got[at:at + n]
         if acc is not None:
+            del got  # before the add, which buffers into poly's strided sums
             sums[a:a + len(acc)] += acc
+
+    for a in range(0, n0, chunk):
+        fold(a, min(a + chunk, n0))
     return outD, outC
 
 

@@ -1,3 +1,4 @@
+import itertools
 import os
 import signal
 import time
@@ -490,26 +491,30 @@ def test_poly_sweep_memory_stays_within_the_guard_estimate():
         if (family, m) != ("grid", 8):
             assert peak - arrays <= 4 * chunk
     # the other modes on the same two arrays, in chunks of 256 KiB: count
-    # steps hold three gathers, min-plus steps fold one later layer at a
-    # time, and mincount steps keep a copy of layer 0's degrees and those
-    # of every later layer (up to four on the grid, a quarter chunk each
-    # beside three lanes) until the counts are masked
+    # steps hold three gathers, min-plus steps fold one run of later layers
+    # at a time, and mincount steps keep a copy of layer 0's degrees and
+    # those of every run (up to four on the grid, a quarter chunk each
+    # beside three lanes) until the counts are masked; king 9 has the
+    # small plans of up to 14 layers
     chunk = engine._GATHER_BYTES
-    for mode, chunks in (("count", 4), ("minplus", 4), ("mincount", 5)):
-        engine._covered_rows("grid", 13)
+    for kernel, m, mode, chunks in (
+            ("grid", 13, "count", 4), ("grid", 13, "minplus", 4),
+            ("grid", 13, "mincount", 5), ("king", 9, "minplus", 4),
+            ("king", 9, "mincount", 5)):
+        engine._covered_rows(kernel, m)
         tracemalloc.start()
         try:
-            list(engine._series("grid", 13, 13, mode, DEFAULT_GUARDS))
+            list(engine._series(kernel, m, m, mode, DEFAULT_GUARDS))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        moduli, _ = engine._plan_lanes("grid", 13, 169, mode, None,
+        moduli, _ = engine._plan_lanes(kernel, m, m * m, mode, None,
                                        DEFAULT_GUARDS)
-        slot, per_lane = engine._state_values(mode, 169)
+        slot, per_lane = engine._state_values(mode, m * m)
         lanes = 1 if moduli is None else len(moduli)
-        rows = max(plan.rows for plan in engine._gather_plans("grid", 13))
+        rows = max(plan.rows for plan in engine._gather_plans(kernel, m))
         arrays = 2 * rows * (slot + lanes * per_lane) * 8
-        assert arrays < peak <= arrays + chunks * chunk, mode
+        assert arrays < peak <= arrays + chunks * chunk, (kernel, mode)
 
 
 # one lane per block, on one process and on two: the counts of grid 9x9
@@ -725,6 +730,87 @@ def test_column_plans_are_prefix_layers(kernel):
             else:
                 # the last column returns full-row codes in every kernel
                 assert all(row_codes[d] == code for d, code in dst_code.items())
+
+
+def _step_by_layers(D, C, plan):
+    """What a column step computes, one fan-in layer at a time: the least
+    lifted degree, and the values summed as a0 + (a1 + a2 + ...), in
+    mincount only those of rows at the least degree."""
+    def lifted(lo, n):
+        return D[plan.src[lo:lo + n]] + 1 - plan.plain[lo:lo + n, None]
+
+    def moved(lo, n):  # counts, or poly rows one degree wider
+        src, plain = plan.src[lo:lo + n], plan.plain[lo:lo + n]
+        if C.ndim == 4:
+            return C[src]
+        width = C.shape[1]
+        out = np.zeros((n, width + 1, C.shape[2]), C.dtype)
+        up = plain == 1  # the unoccupied move keeps every degree
+        out[up, 1:width] = C[src[up], 1:]
+        out[~up, 2:] = C[src[~up], 1:]
+        return out
+
+    def kept(lo, n):
+        values = moved(lo, n)
+        if D is not None:
+            values[lifted(lo, n) != low[:n]] = 0
+        return values
+
+    low = None
+    if D is not None:
+        low = lifted(*plan.layers[0])
+        for lo, n in plan.layers[1:]:
+            low[:n] = np.minimum(low[:n], lifted(lo, n))
+    if C is None:
+        return low, None
+    total = kept(*plan.layers[0])
+    if plan.fan_in > 1:
+        later = kept(*plan.layers[1])
+        for lo, n in plan.layers[2:]:
+            later[:n] += kept(lo, n)
+        total[:len(later)] += later
+    return low, total
+
+
+# random states of every mode, ending in the filler row as a sweep sets
+# it; 48 starts split a column into chunks of a few hundred rows, one
+# start leaves every column in one chunk
+@pytest.mark.parametrize("kernel", ["grid", "cylinder", "king"])
+def test_column_step_equals_a_loop_over_layers(kernel):
+    rng = np.random.default_rng(7)
+    inf = engine._INF
+    for m in range(1, 9):
+        plans = engine._gather_plans(kernel, m)
+        for c, plan in enumerate(plans):
+            rows = plans[c - 1].rows  # the states the column reads
+            for mode, k in itertools.product(
+                    ("float", "count", "minplus", "mincount", "poly"), (1, 48)):
+                D = C = None
+                if mode in ("minplus", "mincount"):
+                    D = rng.integers(0, 4, (rows, k))
+                    D[rng.random(D.shape) < 0.2] = inf
+                    D[-1] = inf
+                if mode == "float":
+                    C = rng.random((rows, k, 1, 1)) * 2.0 ** rng.integers(
+                        -30, 30, (rows, k, 1, 1))
+                elif mode in ("count", "mincount"):  # int64 and prime lanes
+                    C = rng.integers(0, 1 << 40, (rows, k, 1, 2))
+                elif mode == "poly":  # a zero pad and 6 degrees, 2 lanes
+                    C = rng.integers(0, 1 << 40, (rows, 7, 2 * k))
+                    C[:, 0] = 0
+                if C is not None:
+                    C[-1] = 0
+                    if D is not None:
+                        C[D == inf] = 0
+                into = [np.full(plan.rows * 16 * k, -1, np.int64)
+                        for _ in range(2)]
+                if mode == "float":
+                    into[1] = np.full(plan.rows * k, np.nan)
+                got = engine._step(D, C, plan, into)
+                for have, want in zip(got, _step_by_layers(D, C, plan)):
+                    assert (have is None) == (want is None)
+                    if have is not None:
+                        assert np.array_equal(have, want), (m, c, mode, k)
 
 
 def _largest_admissible_prime(kernel, m):
